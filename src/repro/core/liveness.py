@@ -12,8 +12,11 @@ Given a static schedule, this module computes for every processor:
   executable (Definitions 5-6);
 * ``TOT`` — the space needed *without* any recycling (all volatile
   objects held simultaneously), the 100% reference of section 5.1;
-* the dead map used by the MAP planner: which volatile objects die right
-  after each position.
+* the MAP planner's tables: the volatile objects in first-use order,
+  grouped by first-use position with a byte prefix sum, and the objects
+  in (last-use, name) order with their last positions.  They do not
+  depend on the capacity, and :func:`repro.core.maps.plan_maps` places
+  each MAP by bisecting them.
 
 The dead-point information "can be statically calculated by performing a
 data flow analysis on a given DAG with a complexity proportional to the
@@ -23,8 +26,11 @@ processor's order, O(total accesses).
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
-from typing import Optional
+from itertools import accumulate, groupby
+from types import MappingProxyType
+from typing import Mapping, Optional
 
 from ..errors import NonExecutableScheduleError
 from .placement import perm_vola_sets
@@ -33,7 +39,14 @@ from .schedule import Schedule
 
 @dataclass
 class ProcessorMemoryProfile:
-    """Memory behaviour of one processor under a schedule."""
+    """Memory behaviour of one processor under a schedule.
+
+    The first-use and last-use tables are sized by the volatile objects,
+    not by the tasks: ``first_objs[first_ptr[k]:first_ptr[k + 1]]`` are
+    the objects first accessed at position ``first_pos[k]`` and
+    ``first_bytes[k]`` is the size of all objects of the groups before
+    ``k``; ``last_objs[k]`` is last accessed at ``last_pos[k]``.
+    """
 
     proc: int
     perm_bytes: int
@@ -41,11 +54,30 @@ class ProcessorMemoryProfile:
     span: dict[str, tuple[int, int]]
     #: ``mem_req[i]`` = MEM_REQ at the i-th task of the order.
     mem_req: list[int]
-    #: position -> volatile objects whose last access is that position
-    #: (they may be freed at any later MAP).
-    dead_after: dict[int, list[str]]
     #: total volatile bytes (no recycling).
     vola_bytes: int
+    #: volatile objects in first-use order (the key order of ``span``).
+    first_objs: tuple[str, ...]
+    #: distinct first-use positions, increasing (one per group).
+    first_pos: array
+    #: CSR offsets of the groups into ``first_objs`` (groups + 1).
+    first_ptr: array
+    #: byte prefix sum over the groups (groups + 1, starts at 0).
+    first_bytes: array
+    #: volatile objects in (last position, name) order.
+    last_objs: tuple[str, ...]
+    #: last position of each entry of ``last_objs``.
+    last_pos: array
+
+    @property
+    def dead_after(self) -> Mapping[int, list[str]]:
+        """Position -> volatile objects (sorted) whose last access is
+        that position; they may be freed at any later MAP.  A read-only
+        view derived from the last-use table."""
+        dead: dict[int, list[str]] = {}
+        for o, pos in zip(self.last_objs, self.last_pos):
+            dead.setdefault(pos, []).append(o)
+        return MappingProxyType(dead)
 
     @property
     def min_mem(self) -> int:
@@ -157,28 +189,38 @@ def analyze_memory(schedule: Schedule) -> MemoryProfile:
                     first.setdefault(o, i)
                     last[o] = i
         span = {o: (first[o], last[o]) for o in first}
-        # Sweep: alive volatile bytes per position.
-        alloc_at: dict[int, list[str]] = {}
-        free_after: dict[int, list[str]] = {}
-        for o, (f, l) in span.items():
-            alloc_at.setdefault(f, []).append(o)
-            free_after.setdefault(l, []).append(o)
-        mem_req: list[int] = []
-        alive = 0
-        for i in range(len(order)):
-            for o in alloc_at.get(i, ()):
-                alive += g.object(o).size
-            mem_req.append(perm_bytes + alive)
-            for o in free_after.get(i, ()):
-                alive -= g.object(o).size
+        sizes = [g.object(o).size for o in span]
+        # Alive volatile bytes per position: +size at the first use,
+        # -size right after the last one.
+        delta = [0] * (len(order) + 1)
+        for (f, l), sz in zip(span.values(), sizes):
+            delta[f] += sz
+            delta[l + 1] -= sz
+        mem_req = list(accumulate(delta[:-1], initial=perm_bytes))[1:]
+        # First-use CSR: span is already in first-use order.
+        first_pos, first_ptr, first_bytes = array("q"), array("q", [0]), array("q", [0])
+        k = acc = 0
+        for f, group in groupby(zip(first.values(), sizes), key=lambda e: e[0]):
+            for _f, sz in group:
+                k += 1
+                acc += sz
+            first_pos.append(f)
+            first_ptr.append(k)
+            first_bytes.append(acc)
+        last_objs = tuple(sorted(last, key=lambda o: (last[o], o)))
         procs.append(
             ProcessorMemoryProfile(
                 proc=p,
                 perm_bytes=perm_bytes,
                 span=span,
                 mem_req=mem_req,
-                dead_after={i: sorted(objs) for i, objs in free_after.items()},
                 vola_bytes=vola_bytes,
+                first_objs=tuple(span),
+                first_pos=first_pos,
+                first_ptr=first_ptr,
+                first_bytes=first_bytes,
+                last_objs=last_objs,
+                last_pos=array("q", [last[o] for o in last_objs]),
             )
         )
     return MemoryProfile(schedule, procs)

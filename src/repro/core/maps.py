@@ -29,6 +29,7 @@ volatile space at once and notifies object addresses") whose cost the
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -156,67 +157,59 @@ def plan_maps(
     Raises :class:`~repro.errors.NonExecutableScheduleError` when the
     schedule needs more than ``capacity`` on some processor (Definition
     6; the ``inf`` entries of the paper's tables).
+
+    The walk is greedy along the execution chain, but it never visits
+    the tasks one by one: the capacity-independent liveness tables of
+    ``profile`` let each MAP find how far its allocations reach by
+    bisecting the first-use byte prefix sum, so a plan costs
+    O(#MAPs · log + allocations + frees) per processor.  That relies on
+    object sizes being non-negative integers, which
+    :class:`~repro.graph.objects.DataObject` enforces.
     """
     if profile is None:
         profile = analyze_memory(schedule)
-    g = schedule.graph
-    placement = schedule.placement
+    owner = schedule.placement.owner
     points: list[list[MapPoint]] = []
     for p, order in enumerate(schedule.orders):
         pp = profile.procs[p]
         if pp.min_mem > capacity:
             raise NonExecutableScheduleError(p, pp.min_mem, capacity)
-        budget = capacity - pp.perm_bytes  # space available for volatiles
         proc_points: list[MapPoint] = []
-        if not order:
-            points.append(proc_points)
-            continue
-        # First use of each volatile object, grouped by position.
-        first_at: dict[int, list[str]] = {}
-        for o, (f, _l) in pp.span.items():
-            first_at.setdefault(f, []).append(o)
-        size = {o: g.object(o).size for o in pp.span}
-        last = {o: pp.span[o][1] for o in pp.span}
-
-        allocated: set[str] = set()
-        used = 0
-        i = 0
+        points.append(proc_points)
+        budget = capacity - pp.perm_bytes  # space available for volatiles
+        objs, fpos, fptr, fbytes = pp.first_objs, pp.first_pos, pp.first_ptr, pp.first_bytes
+        last_objs, last_pos = pp.last_objs, pp.last_pos
+        ngroups = len(fpos)
         n = len(order)
+        grp = 0  # first first-use group not allocated yet
+        freed = 0  # last-use entries freed so far
+        i = 0
         while i < n:
-            mp = MapPoint(proc=p, position=i)
-            # 1) free volatiles dead before position i.
-            for o in sorted(allocated):
-                if last[o] < i:
-                    allocated.discard(o)
-                    used -= size[o]
-                    mp.frees.append(o)
-            # 2) allocate forward along the chain until the next task no
-            #    longer fits.
-            j = i
-            while j < n:
-                need = [
-                    o
-                    for o in first_at.get(j, ())
-                    if o not in allocated
-                ]
-                extra = sum(size[o] for o in need)
-                if used + extra > budget:
-                    break
-                for o in need:
-                    allocated.add(o)
-                    used += size[o]
-                    mp.allocs.append(o)
-                    owner = placement[o]
-                    mp.notifications.setdefault(owner, []).append(o)
-                j += 1
-            if j == i:
+            # 1) free volatiles dead before position i (all allocated,
+            #    since their first use precedes their last one).
+            dead = bisect_left(last_pos, i, freed)
+            frees = sorted(last_objs[freed:dead])
+            freed = dead
+            # Live volatile bytes after the frees: MEM_REQ at i minus the
+            # permanent bytes and the objects first used at i.
+            used = pp.mem_req[i] - pp.perm_bytes
+            if grp < ngroups and fpos[grp] == i:
+                used -= fbytes[grp + 1] - fbytes[grp]
+            # 2) allocate the longest run of first-use groups that fits;
+            #    the next MAP goes right before the first one that does not.
+            end = bisect_right(fbytes, fbytes[grp] + budget - used, grp) - 1
+            nxt = fpos[end] if end < ngroups else n
+            if nxt <= i:
                 # Even the next task does not fit — contradicts the
                 # MIN_MEM check above; defensive.
                 raise NonExecutableScheduleError(p, pp.mem_req[i], capacity)
-            mp.covers_through = j - 1
-            proc_points.append(mp)
-            i = j
-        points.append(proc_points)
+            allocs = list(objs[fptr[grp]:fptr[end]])
+            notifications: dict[int, list[str]] = {}
+            for o in allocs:
+                notifications.setdefault(owner[o], []).append(o)
+            proc_points.append(MapPoint(p, i, frees, allocs, notifications, nxt - 1))
+            grp = end
+            i = nxt
     return MapPlan(schedule=schedule, capacity=capacity, points=points, profile=profile)
 
 

@@ -38,6 +38,19 @@ class DependenceError(GraphError):
     """
 
 
+class ObjectSizeError(GraphError, ValueError):
+    """A data object's size is not a finite non-negative integer.
+
+    Also a :class:`ValueError`, which negative sizes always raised.  The
+    liveness tables and the MAP planner rely on exact integer byte
+    sums.
+    """
+
+
+class CapacityError(ReproError, ValueError):
+    """A memory capacity (or capacity fraction) is not a finite number."""
+
+
 class SchedulingError(ReproError):
     """A scheduling algorithm was invoked with inconsistent inputs."""
 

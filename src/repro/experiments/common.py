@@ -27,7 +27,12 @@ from typing import Optional
 
 from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.schedule import Schedule
-from ..machine.simulator import CompiledSchedule, SimResult, Simulator
+from ..machine.simulator import (
+    CompiledSchedule,
+    SimResult,
+    Simulator,
+    require_finite_capacity,
+)
 from ..machine.spec import CRAY_T3D, MachineSpec
 from ..rapid.inspector import order_with
 from ..sparse.cholesky import build_cholesky
@@ -346,7 +351,11 @@ class ExperimentContext:
         bounds (``pt_bound``/``mem_bound``) and the cell's relative
         slack over them (``*_bound_gap``); purely static, cached per
         (workload, procs, heuristic) via :meth:`bounds_for`.
+
+        A non-finite ``fraction`` raises
+        :class:`~repro.errors.CapacityError`.
         """
+        require_finite_capacity(fraction, "capacity fraction")
         tot = (
             self.reference_tot(key, p)
             if reference == "rcp"

@@ -17,6 +17,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from numbers import Integral
+
+from ..errors import ObjectSizeError
 
 
 class AccessMode(Enum):
@@ -54,8 +57,15 @@ class DataObject:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("data object name must be non-empty")
-        if self.size < 0:
-            raise ValueError(f"data object {self.name!r} has negative size {self.size}")
+        size = self.size
+        if type(size) is not int and (
+            isinstance(size, bool) or not isinstance(size, Integral)
+        ):
+            raise ObjectSizeError(
+                f"data object {self.name!r} has non-integer size {size!r}"
+            )
+        if size < 0:
+            raise ObjectSizeError(f"data object {self.name!r} has negative size {size}")
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"DataObject({self.name!r}, size={self.size})"

@@ -33,14 +33,25 @@ the ``CompiledSchedule``) enumerates every entity as a small integer:
     (``od_ptr`` etc.), holding the target ``mk``/``sk``/``ak`` ids and
     per-spec precomputed network times.
 
+The lowering also builds each processor's MAP-free *base step
+program* once: ``SEG`` steps (maximal runs of *silent* tasks — no
+remote inputs, no outgoing messages) and ``TASK`` steps (one
+message-bearing task), with the order position each step starts at.
+
 Execution plans (:func:`get_exec_plan`) are additionally keyed by
-``(capacity, spec, memory_managed, preknown)`` and compile each
-processor's order + MAP plan into a *step program*: ``SEG`` steps
-(maximal runs of *silent* tasks — no remote inputs, no outgoing
-messages, no MAP between), ``TASK`` steps (one message-bearing task)
-and ``MAP`` steps (frees/allocs/packages with the exact interpreted
-cost expression).  Events are 3-tuples ``(time, seq, code)`` where
-``code`` packs ``kind << 44 | arg``.
+``(capacity, spec, memory_managed, preknown)`` and hold only what
+depends on them: the ``MAP`` steps (frees/allocs/packages with the
+exact interpreted cost expression) and their tables, laid over the
+base programs.  Each MAP position is bisected into the base program,
+the base steps around it are shared by list slice, and a ``SEG`` the
+MAP falls inside is split into exactly the pieces a from-scratch build
+would pack (no run of silent tasks spans a MAP).  A plan without MAPs
+(the unmanaged baseline) reuses the base lists as they are, and the
+per-message network costs are memoised per spec on the lowering.  Base
+step tuples — SEG scratch buffers included — are therefore shared by
+every ExecPlan of a schedule, as they are by every run of one ExecPlan;
+runs treat them as read-only.  Events are 3-tuples ``(time, seq, code)``
+where ``code`` packs ``kind << 44 | arg``.
 
 Exactness contract
 ------------------
@@ -105,6 +116,7 @@ from __future__ import annotations
 
 import heapq
 import os
+from bisect import bisect_right
 from time import perf_counter
 from typing import Optional
 
@@ -158,6 +170,12 @@ class LoweredSchedule:
     docstring).  Cold-path diagnostics keep the name-level index dicts
     (``mk_index``/``sk_index``) so deadlock reports match the
     interpreted engine verbatim.
+
+    ``base_steps[q]`` is processor ``q``'s MAP-free SEG/TASK step
+    program and ``base_pos[q][k]`` the order position step ``k`` starts
+    at; every :class:`ExecPlan` of the schedule is an overlay on them.
+    ``spec_costs`` memoises the per-message network and NIC times per
+    :class:`~repro.machine.spec.MachineSpec`.
     """
 
     __slots__ = (
@@ -181,6 +199,7 @@ class LoweredSchedule:
         "obj_name", "obj_size", "obj_size_l",
         "succ_ptr", "succ_tid",
         "span_oids", "perm_bytes", "writes_by_po",
+        "base_steps", "base_pos", "spec_costs",
     )
 
 
@@ -190,7 +209,11 @@ class ExecPlan:
     Holds the per-processor ``SEG``/``TASK``/``MAP`` step lists, the
     lowered MAP actions (free/alloc oids, package table) and every
     spec-dependent cost precomputed with the interpreted engine's exact
-    float expressions.  Cached on the owning ``CompiledSchedule`` under
+    float expressions.  The step lists are an overlay on the lowering's
+    base programs: MAP steps and the SEG pieces a MAP splits are this
+    plan's own, every other step tuple (and ``od_net_l``/``od_nic_l``)
+    is shared with the lowering and must not be mutated.  Cached on the
+    owning ``CompiledSchedule`` under
     ``(capacity, spec, memory_managed, preknown)``.
     """
 
@@ -256,8 +279,8 @@ def lower_schedule(cs) -> LoweredSchedule:
         count=ntasks,
     )
     lo.weight, lo.pending0 = weight, pending0
-    lo.weight_l = weight.tolist()
-    lo.pending0_l = pending0.tolist()
+    lo.weight_l = weight_l = weight.tolist()
+    lo.pending0_l = pending0_l = pending0.tolist()
 
     # --- objects / units ---------------------------------------------
     nobjects = g.num_objects
@@ -464,6 +487,46 @@ def lower_schedule(cs) -> LoweredSchedule:
     ]
     lo.perm_bytes = list(cs.perm_bytes)
 
+    # --- MAP-free step programs (shared by every ExecPlan) ------------
+    # SEG steps pack maximal runs of silent tasks, TASK steps carry one
+    # message-bearing task; base_pos[q][k] is the order position of the
+    # first task of step k.
+    lo.base_steps = []
+    lo.base_pos = []
+    for q in range(nprocs):
+        prog: list[tuple] = []
+        starts: list[int] = []
+        cur_ws: list[float] = []
+        start = int(proc_start[q])
+        for i in range(int(proc_start[q + 1]) - start):
+            tid = start + i
+            if (
+                pending0_l[tid] == 0
+                and od_ptr_l[tid] == od_ptr_l[tid + 1]
+                and os_ptr_l[tid] == os_ptr_l[tid + 1]
+                and cons_ptr_l[tid] == cons_ptr_l[tid + 1]
+            ):
+                if not cur_ws:
+                    starts.append(i)
+                cur_ws.append(weight_l[tid])
+                continue
+            if cur_ws:
+                prog.append(_make_seg(cur_ws))
+                cur_ws = []
+            starts.append(i)
+            prog.append((
+                _TASK_OP, tid, weight_l[tid],
+                od_ptr_l[tid], od_ptr_l[tid + 1],
+                os_ptr_l[tid], os_ptr_l[tid + 1],
+                cons_ptr_l[tid], cons_ptr_l[tid + 1],
+            ))
+        if cur_ws:
+            prog.append(_make_seg(cur_ws))
+        lo.base_steps.append(prog)
+        lo.base_pos.append(starts)
+    #: MachineSpec -> (od_net_l, od_nic_l), filled by get_exec_plan.
+    lo.spec_costs = {}
+
     cs.counters["lower_s"] += perf_counter() - _t0_lower
     cs._lowered = lo
     if os.environ.get("REPRO_VERIFY_IR"):
@@ -494,6 +557,12 @@ def _make_seg(ws: list[float]) -> tuple:
     return (_SEG_OP, ws, s, margin, n, None, None, None)
 
 
+def _rest_of(step: tuple, start: int, cut: int) -> tuple:
+    """Base ``step`` (first position ``start``) from position ``cut`` on:
+    the step itself, or the tail of a SEG a MAP split."""
+    return step if cut == start else _make_seg(step[1][cut - start:])
+
+
 def get_exec_plan(
     cs,
     capacity: int,
@@ -507,6 +576,14 @@ def get_exec_plan(
     frozen dataclass) so sweeps over different machines or scaled
     overheads never share cost tables; :meth:`CompiledSchedule
     .check_fresh` guards against schedule mutation behind the cache.
+
+    The step programs are an overlay on the lowering's MAP-free base
+    programs: each MAP position is bisected into the base, the steps
+    before it are copied by list slice, a SEG it falls inside is split
+    on exactly the weight slices a from-scratch build would pack, and
+    the MAP step is inserted.  Untouched base tuples are shared, never
+    copied, so the cost is O(#MAPs · log + allocations) plus the slice
+    copies; a plan without MAPs reuses the base lists as they are.
     """
     cs.check_fresh()
     key = (capacity, spec, memory_managed, preknown)
@@ -531,9 +608,15 @@ def get_exec_plan(
     ep.put_lat = spec.put_latency
     ep.ra_cost = spec.ra_cost
     ep.nic_serialize = spec.nic_serialize
-    # Exact interpreted cost expressions, per message.
-    ep.od_net_l = [spec.message_time(nb) for nb in lo.od_nbytes.tolist()]
-    ep.od_nic_l = [nb * spec.byte_time for nb in lo.od_nbytes.tolist()]
+    # Exact interpreted cost expressions, per message (per spec).
+    costs = lo.spec_costs.get(spec)
+    if costs is None:
+        nbytes = lo.od_nbytes.tolist()
+        costs = lo.spec_costs[spec] = (
+            [spec.message_time(nb) for nb in nbytes],
+            [nb * spec.byte_time for nb in nbytes],
+        )
+    ep.od_net_l, ep.od_nic_l = costs
 
     mf_oid_l: list[int] = []
     mf_grp_l: list[int] = []
@@ -548,9 +631,36 @@ def get_exec_plan(
     grp_index = lo.grp_index
     ak_index = lo.ak_index
 
-    steps: list[list[tuple]] = []
-    od_ptr, os_ptr, cons_ptr = lo.od_ptr_l, lo.os_ptr_l, lo.cons_ptr_l
-    pending0, weight = lo.pending0_l, lo.weight_l
+    def map_step(q: int, mp) -> tuple:
+        cost = (
+            spec.map_overhead
+            + len(mp.frees) * spec.free_cost
+            + len(mp.allocs) * spec.alloc_cost
+        )
+        flo = len(mf_oid_l)
+        mf_oid_l.extend(map(oid_of.__getitem__, mp.frees))
+        for m in mp.frees:
+            mf_grp_l.append(grp_index.get((q, m), -1))
+        alo = len(ma_oid_l)
+        ma_oid_l.extend(map(oid_of.__getitem__, mp.allocs))
+        plo = len(pkg_dst_l)
+        for dst, objs in sorted(mp.notifications.items()):
+            pkg_src_l.append(q)
+            pkg_dst_l.append(dst)
+            pkg_cost_l.append(
+                spec.package_overhead + len(objs) * spec.address_cost
+            )
+            pkg_objs.append(list(objs))
+            for m in objs:
+                ak = ak_index.get((dst, oid_of[m], q))
+                if ak is not None:
+                    pkg_ak_l.append(ak)
+            pkg_ak_ptr_l.append(len(pkg_ak_l))
+        return (
+            _MAP_OP, cost, flo, len(mf_oid_l), alo, len(ma_oid_l),
+            plo, len(pkg_dst_l),
+        )
+
     # Same MAP placement semantics as Simulator._map_at: one MapPoint
     # per (proc, position), last wins, and positions at or past the end
     # of the order never execute.
@@ -559,68 +669,33 @@ def get_exec_plan(
         for pts in plan.points:
             for mp in pts:
                 map_at[mp.proc][mp.position] = mp
+    steps: list[list[tuple]] = []
     for q in range(nprocs):
+        base, starts = lo.base_steps[q], lo.base_pos[q]
+        if not map_at[q]:
+            steps.append(base)
+            continue
+        n = int(lo.proc_start[q + 1] - lo.proc_start[q])
         prog: list[tuple] = []
-        cur_ws: list[float] = []
-        start = int(lo.proc_start[q])
-        n = int(lo.proc_start[q + 1]) - start
-        maps_q = map_at[q]
-        for i in range(n):
-            mp = maps_q.get(i)
-            if mp is not None:
-                if cur_ws:
-                    prog.append(_make_seg(cur_ws))
-                    cur_ws = []
-                cost = (
-                    spec.map_overhead
-                    + len(mp.frees) * spec.free_cost
-                    + len(mp.allocs) * spec.alloc_cost
-                )
-                flo = len(mf_oid_l)
-                for m in mp.frees:
-                    mf_oid_l.append(oid_of[m])
-                    mf_grp_l.append(grp_index.get((q, m), -1))
-                alo = len(ma_oid_l)
-                for m in mp.allocs:
-                    ma_oid_l.append(oid_of[m])
-                plo = len(pkg_dst_l)
-                for dst, objs in sorted(mp.notifications.items()):
-                    pkg_src_l.append(q)
-                    pkg_dst_l.append(dst)
-                    pkg_cost_l.append(
-                        spec.package_overhead + len(objs) * spec.address_cost
-                    )
-                    pkg_objs.append(list(objs))
-                    for m in objs:
-                        ak = ak_index.get((dst, oid_of[m], q))
-                        if ak is not None:
-                            pkg_ak_l.append(ak)
-                    pkg_ak_ptr_l.append(len(pkg_ak_l))
-                prog.append((
-                    _MAP_OP, cost, flo, len(mf_oid_l), alo, len(ma_oid_l),
-                    plo, len(pkg_dst_l),
-                ))
-            tid = start + i
-            silent = (
-                pending0[tid] == 0
-                and od_ptr[tid] == od_ptr[tid + 1]
-                and os_ptr[tid] == os_ptr[tid + 1]
-                and cons_ptr[tid] == cons_ptr[tid + 1]
-            )
-            if silent:
-                cur_ws.append(weight[tid])
-            else:
-                if cur_ws:
-                    prog.append(_make_seg(cur_ws))
-                    cur_ws = []
-                prog.append((
-                    _TASK_OP, tid, weight[tid],
-                    od_ptr[tid], od_ptr[tid + 1],
-                    os_ptr[tid], os_ptr[tid + 1],
-                    cons_ptr[tid], cons_ptr[tid + 1],
-                ))
-        if cur_ws:
-            prog.append(_make_seg(cur_ws))
+        k = 0  # base step holding the next position to emit
+        cut = 0  # that position (== starts[k] unless a MAP split step k)
+        for pos in sorted(i for i in map_at[q] if 0 <= i < n):
+            j = bisect_right(starts, pos) - 1
+            if j > k:
+                # Finish step k, then copy the steps up to the one
+                # holding ``pos`` untouched.
+                prog.append(_rest_of(base[k], starts[k], cut))
+                prog.extend(base[k + 1:j])
+                k, cut = j, starts[j]
+            if cut < pos:
+                # ``pos`` falls inside SEG k (a TASK step covers one
+                # position): emit the silent run before the MAP.
+                prog.append(_make_seg(base[k][1][cut - starts[k]:pos - starts[k]]))
+                cut = pos
+            prog.append(map_step(q, map_at[q][pos]))
+        if k < len(base):
+            prog.append(_rest_of(base[k], starts[k], cut))
+            prog.extend(base[k + 1:])
         steps.append(prog)
 
     ep.steps = steps

@@ -111,6 +111,7 @@ is now a :class:`~repro.obs.tracelog.TraceLog` instrument.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from enum import Enum
 from time import perf_counter
@@ -120,7 +121,12 @@ from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.maps import MapPlan, MapPoint, plan_maps
 from ..core.placement import validate_owner_compute
 from ..core.schedule import Schedule
-from ..errors import DataConsistencyError, DeadlockError, SimulationError
+from ..errors import (
+    CapacityError,
+    DataConsistencyError,
+    DeadlockError,
+    SimulationError,
+)
 from ..obs.instrument import Instrument, MultiInstrument
 from ..obs.instruments import MetricsSuite
 from ..obs.metrics import build_metrics
@@ -271,6 +277,13 @@ class SimResult:
             return 1.0
         p = len(self.stats)
         return sum(s.busy_time for s in self.stats) / (p * self.parallel_time)
+
+
+def require_finite_capacity(value, what: str = "capacity") -> None:
+    """Raise :class:`~repro.errors.CapacityError` unless ``value`` is a
+    finite number (NaN and infinities cannot size a memory)."""
+    if not (isinstance(value, int) or math.isfinite(value)):
+        raise CapacityError(f"{what} must be finite, got {value!r}")
 
 
 class CompiledSchedule:
@@ -512,8 +525,10 @@ class CompiledSchedule:
 
         Raises :class:`~repro.errors.NonExecutableScheduleError` below
         ``MIN_MEM`` (failures are not cached).  The capacity-only key is
-        guarded by :meth:`check_fresh`; see the class docstring."""
+        guarded by :meth:`check_fresh`; see the class docstring.  A
+        non-finite capacity raises :class:`~repro.errors.CapacityError`."""
         self.check_fresh()
+        require_finite_capacity(capacity)
         plan = self._plans.get(capacity)
         if plan is None:
             self.counters["plan_misses"] += 1
@@ -643,6 +658,7 @@ class Simulator:
             capacity = (
                 spec.memory_capacity if memory_managed else max(self.profile.tot, 1)
             )
+        require_finite_capacity(capacity)
         self.capacity = int(capacity)
         if memory_managed:
             self.plan = plan if plan is not None else compiled.plan_for(self.capacity)

@@ -62,3 +62,44 @@ class TestPackageSurface:
         for mod in (core, graph, machine, rapid, sparse):
             for name in mod.__all__:
                 assert getattr(mod, name) is not None, f"{mod.__name__}.{name}"
+
+
+class TestHostileSizesAndCapacities:
+    """Object sizes must be finite non-negative integers; capacities and
+    capacity fractions must be finite — each refusal is a typed error."""
+
+    def test_bad_object_sizes_are_typed(self):
+        import numpy as np
+        import pytest
+
+        from repro.graph import DataObject
+
+        for size in (float("nan"), float("inf"), 2.5, -1, "8", True):
+            with pytest.raises(errors.ObjectSizeError) as info:
+                DataObject("x", size)
+            assert isinstance(info.value, errors.GraphError)
+            assert isinstance(info.value, ValueError)
+        assert DataObject("x", np.int64(8)).size == 8
+        assert DataObject("x", 0).size == 0
+
+    def test_non_finite_capacities_are_typed(self):
+        import pytest
+
+        from repro.experiments import ExperimentContext
+        from repro.graph.paper_example import schedule_c
+        from repro.machine import UNIT_MACHINE, Simulator
+        from repro.machine.simulator import CompiledSchedule
+
+        cs = CompiledSchedule(schedule_c())
+        for bad in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(errors.CapacityError):
+                Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=bad)
+            with pytest.raises(errors.CapacityError):
+                cs.plan_for(bad)
+        assert issubclass(errors.CapacityError, errors.ReproError)
+        ctx = ExperimentContext()
+        for bad in (float("nan"), float("inf")):
+            with pytest.raises(errors.CapacityError):
+                ctx.run_cell("chol15", 2, "rcp", bad)
+        # finite capacities keep working, whatever their numeric type
+        assert Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=8.0).run()
