@@ -51,6 +51,14 @@ class CapacityError(ReproError, ValueError):
     """A memory capacity (or capacity fraction) is not a finite number."""
 
 
+class ExperimentConfigError(ReproError, ValueError):
+    """An experiment cell or sweep was configured with invalid inputs:
+    a processor count that is not an integer >= 1, an unknown TOT
+    reference, an unknown column family, or a sweep worker used before
+    its context was built.  Also a :class:`ValueError`, so callers that
+    treat bad arguments as ``ValueError`` keep working."""
+
+
 class SchedulingError(ReproError):
     """A scheduling algorithm was invoked with inconsistent inputs."""
 

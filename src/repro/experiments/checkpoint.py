@@ -12,10 +12,13 @@ sweep's CSV is byte-identical to an uninterrupted run's.
 
 The manifest is *content-keyed*: it stores a fingerprint of the grid
 and every record-shaping option (workloads, procs, heuristics,
-fractions, reference, metrics/check/analyze columns, engine, machine
-spec).  A checkpoint written under a different grid is stale — resume
-ignores it and starts fresh — so shards can never leak records into a
-sweep they do not belong to.
+fractions, reference, engine, machine spec, harness faults, and the
+flag of every column family in
+:data:`~repro.experiments.sweep.COLUMN_FAMILIES` that a cell collects:
+metrics, check, analyze, bounds and engine_stats).  A checkpoint
+written under a different grid is stale — resume ignores it and starts
+fresh — so shards can never leak records into a sweep they do not
+belong to.
 
 Crash safety: shard files and the manifest are written to a
 same-directory temporary file and :func:`os.replace`-d into place
@@ -37,7 +40,7 @@ import tempfile
 from dataclasses import asdict
 from typing import Optional, Sequence
 
-from .sweep import SweepRecord
+from .sweep import CELL_FAMILIES, SweepRecord
 
 __all__ = [
     "CheckpointJournal",
@@ -107,6 +110,8 @@ def grid_fingerprint(
     rows, which must never be replayed into a fault-free run (nor a
     fault-free journal into a faulted one).
     """
+    # The arguments, so the column flags are found by family name.
+    flags = dict(locals())
     doc = {
         "schema": SCHEMA,
         "spec": repr(spec),
@@ -115,16 +120,12 @@ def grid_fingerprint(
         "heuristics": list(heuristics),
         "fractions": [float(f) for f in fractions],
         "reference": reference,
-        "metrics": bool(metrics),
-        "check": bool(check),
-        "analyze": bool(analyze),
         "engine": engine,
-        "engine_stats": bool(engine_stats),
-        "bounds": bool(bounds),
         "harness_faults": (
             repr(harness_faults) if harness_faults is not None else None
         ),
     }
+    doc.update((name, bool(flags[name])) for name in CELL_FAMILIES)
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 

@@ -22,11 +22,13 @@ results so a sweep over memory fractions re-uses its scheduling work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+import numbers
+from dataclasses import dataclass, field
+from typing import Optional, Sequence
 
 from ..core.liveness import MemoryProfile, analyze_memory
 from ..core.schedule import Schedule
+from ..errors import ExperimentConfigError
 from ..machine.simulator import (
     CompiledSchedule,
     SimResult,
@@ -57,10 +59,10 @@ INF = float("inf")
 class CellMetrics:
     """One (configuration, capacity) measurement.
 
-    The telemetry fields (``map_overhead_frac``, ``max_hwm``,
-    ``max_suspq``) are ``None`` unless the cell was measured with
-    ``collect_metrics=True``; non-executable cells get ``inf`` like the
-    timing fields.
+    ``columns`` holds the opt-in sweep columns the cell was measured
+    with (see ``columns`` of :meth:`ExperimentContext.run_cell`), keyed
+    by :class:`~repro.experiments.sweep.SweepRecord` field name; it is
+    empty for a plain cell.
     """
 
     executable: bool
@@ -70,37 +72,49 @@ class CellMetrics:
     capacity: int = 0
     min_mem: int = 0
     tot: int = 0
-    map_overhead_frac: Optional[float] = None
-    max_hwm: Optional[float] = None
-    max_suspq: Optional[float] = None
-    #: Invariant violations observed by the conformance checker; ``None``
-    #: unless measured with ``collect_check=True`` (``inf`` when
-    #: non-executable, matching the timing fields).
-    violations: Optional[float] = None
-    #: Error-severity findings of the static analyzer; ``None`` unless
-    #: measured with ``collect_analysis=True``.  Unlike the dynamic
-    #: fields, non-executable cells get a real count (at least the SA101
-    #: finding) — the analyzer needs no simulation.
-    analysis_errors: Optional[float] = None
-    #: Engine introspection (``collect_engine=True``): which engine
-    #: actually executed the cell and, for a requested-compiled cell
-    #: that ran interpreted, the fallback reason.  Non-executable cells
-    #: stay ``None`` — nothing ran.
-    engine_used: Optional[str] = None
-    fallback_reason: Optional[str] = None
-    #: Certified static lower bounds (``collect_bounds=True``; see
-    #: :mod:`repro.analysis.bounds`).  Static like ``analysis_errors``:
-    #: even a non-executable cell gets real bound values — only the
-    #: ``pt_bound_gap`` becomes ``inf`` there (no PT to compare).
-    pt_bound: Optional[float] = None
-    mem_bound: Optional[float] = None
-    #: Relative slack of the cell over its bound, ``value/bound - 1``.
-    pt_bound_gap: Optional[float] = None
-    mem_bound_gap: Optional[float] = None
+    columns: dict = field(default_factory=dict)
 
     @property
     def pt_increase_pct(self) -> float:
         return self.pt_increase * 100.0
+
+
+@dataclass(frozen=True)
+class CellRun:
+    """One measured cell as a column collector sees it (see
+    :data:`repro.experiments.sweep.COLUMN_FAMILIES`)."""
+
+    key: str
+    p: int
+    heuristic: str
+    capacity: int
+    #: capacity handed to the heuristic (``merge_capacity``), else None
+    cap_arg: Optional[int]
+    min_mem: int
+    #: the simulation; ``None`` when the cell is non-executable
+    result: Optional[SimResult]
+    #: invariant violations; ``None`` unless the cell ran checked
+    violations: Optional[int]
+
+
+#: TOT bases :meth:`ExperimentContext.run_cell` accepts.
+REFERENCES = ("self", "rcp")
+
+
+def require_procs(p) -> None:
+    """Reject a processor count that is not an integer >= 1."""
+    if isinstance(p, bool) or not isinstance(p, numbers.Integral) or p < 1:
+        raise ExperimentConfigError(
+            f"processor count must be an integer >= 1, got {p!r}"
+        )
+
+
+def require_reference(reference) -> None:
+    """Reject a TOT reference other than those in :data:`REFERENCES`."""
+    if reference not in REFERENCES:
+        raise ExperimentConfigError(
+            f"unknown reference {reference!r}; choose from {list(REFERENCES)}"
+        )
 
 
 class ExperimentContext:
@@ -313,49 +327,42 @@ class ExperimentContext:
         fraction: float,
         reference: str = "self",
         merge_capacity: bool = False,
-        collect_metrics: bool = False,
-        collect_check: bool = False,
-        collect_analysis: bool = False,
         engine: str = "interpreted",
-        collect_engine: bool = False,
-        collect_bounds: bool = False,
+        columns: Sequence[str] = (),
     ) -> CellMetrics:
         """Measure one table cell.
 
         ``reference`` selects the TOT base for the capacity: ``"self"``
         (the schedule's own TOT, Tables 2/3) or ``"rcp"`` (the RCP
         schedule's TOT, Tables 4-7).  With ``merge_capacity=True`` the
-        heuristic receives the capacity (DTS slice merging).  With
-        ``collect_metrics=True`` the simulation runs instrumented
-        (:mod:`repro.obs`) and the telemetry fields of
-        :class:`CellMetrics` are populated; with ``collect_check=True``
-        a :class:`~repro.conformance.InvariantChecker` rides along and
-        fills the ``violations`` field; with ``collect_analysis=True``
-        the static analyzer judges the cell's plan (no extra simulation)
-        and fills ``analysis_errors``.  Results of the different modes
-        are cached separately so mixing them never reuses the wrong run.
+        heuristic receives the capacity (DTS slice merging).
 
         ``engine`` selects the simulator engine (see
         :class:`~repro.machine.simulator.Simulator`); metric/check cells
         are observed runs and therefore fall back to the interpreted
         engine regardless of the requested value.
 
-        ``collect_engine=True`` records which engine actually executed
-        the cell (``engine_used``) and the fallback reason of a
-        requested-compiled cell that ran interpreted
-        (``fallback_reason``); it reads the cached
-        :class:`~repro.machine.simulator.SimResult` and never changes
-        what runs.
+        ``columns`` names the opt-in column families of
+        :data:`repro.experiments.sweep.COLUMN_FAMILIES` to fill into
+        :attr:`CellMetrics.columns` (e.g. ``("metrics", "bounds")``).
+        ``metrics`` runs the simulation instrumented (:mod:`repro.obs`)
+        and ``check`` attaches an
+        :class:`~repro.conformance.InvariantChecker`; simulations of the
+        different modes are cached separately so mixing them never
+        reuses the wrong run.  The other families read the cached run or
+        static analyses and never change what runs.
 
-        ``collect_bounds=True`` fills the certified static lower
-        bounds (``pt_bound``/``mem_bound``) and the cell's relative
-        slack over them (``*_bound_gap``); purely static, cached per
-        (workload, procs, heuristic) via :meth:`bounds_for`.
-
-        A non-finite ``fraction`` raises
-        :class:`~repro.errors.CapacityError`.
+        A processor count that is not an integer >= 1, an unknown
+        ``reference`` or an unknown family raises
+        :class:`~repro.errors.ExperimentConfigError`; a non-finite
+        ``fraction`` raises :class:`~repro.errors.CapacityError`.
         """
+        from .sweep import column_families
+
+        require_procs(p)
+        require_reference(reference)
         require_finite_capacity(fraction, "capacity fraction")
+        families = column_families(columns)
         tot = (
             self.reference_tot(key, p)
             if reference == "rcp"
@@ -365,80 +372,44 @@ class ExperimentContext:
         cap_arg = capacity if merge_capacity else None
         prof = self.profile(key, p, heuristic, cap_arg)
         base = self.baseline_pt(key, p, engine)
-        pt_bound = mem_bound = mem_bound_gap = None
-        if collect_bounds:
-            bset = self.bounds_for(key, p, heuristic, cap_arg)
-            pt_bound = bset.pt.value
-            mem_bound = bset.min_mem.value
-            mem_bound_gap = (
-                prof.min_mem / mem_bound - 1.0 if mem_bound > 0 else INF
-            )
-        if prof.min_mem > capacity:
-            return CellMetrics(
-                executable=False, capacity=capacity, min_mem=prof.min_mem, tot=tot,
-                map_overhead_frac=INF if collect_metrics else None,
-                max_hwm=INF if collect_metrics else None,
-                max_suspq=INF if collect_metrics else None,
-                violations=INF if collect_check else None,
-                analysis_errors=(
-                    self.analysis_errors(key, p, heuristic, capacity, cap_arg)
-                    if collect_analysis else None
-                ),
-                pt_bound=pt_bound,
-                mem_bound=mem_bound,
-                pt_bound_gap=INF if collect_bounds else None,
-                mem_bound_gap=mem_bound_gap,
-            )
-        sk = (
-            key, p, heuristic, cap_arg, capacity, collect_metrics,
-            collect_check, engine,
-        )
-        if sk not in self._sims:
-            checker = None
-            if collect_check:
-                from ..conformance import InvariantChecker
+        res = nviol = None
+        if prof.min_mem <= capacity:
+            metrics, check = "metrics" in columns, "check" in columns
+            sk = (key, p, heuristic, cap_arg, capacity, metrics, check, engine)
+            if sk not in self._sims:
+                checker = None
+                if check:
+                    from ..conformance import InvariantChecker
 
-                checker = InvariantChecker(self.compiled(key, p, heuristic, cap_arg))
-            res = Simulator(
-                spec=self.spec,
-                capacity=capacity,
-                compiled=self.compiled(key, p, heuristic, cap_arg),
-                metrics=collect_metrics,
-                instrument=checker,
-                engine=engine,
-            ).run()
-            self._sims[sk] = (
-                res,
-                len(checker.violations) if checker is not None else None,
-            )
-        res, nviol = self._sims[sk]
-        summary = res.metrics["summary"] if collect_metrics else None
-        return CellMetrics(
-            executable=True,
+                    checker = InvariantChecker(
+                        self.compiled(key, p, heuristic, cap_arg)
+                    )
+                res = Simulator(
+                    spec=self.spec,
+                    capacity=capacity,
+                    compiled=self.compiled(key, p, heuristic, cap_arg),
+                    metrics=metrics,
+                    instrument=checker,
+                    engine=engine,
+                ).run()
+                self._sims[sk] = (
+                    res,
+                    len(checker.violations) if checker is not None else None,
+                )
+            res, nviol = self._sims[sk]
+        run = CellRun(key, p, heuristic, capacity, cap_arg, prof.min_mem,
+                      res, nviol)
+        values: dict = {}
+        for family in families:
+            values.update(zip(family.fields, family.collect(self, run)))
+        timing = {} if res is None else dict(
             pt=res.parallel_time,
             pt_increase=(res.parallel_time - base) / base,
             avg_maps=res.avg_maps,
-            capacity=capacity,
-            min_mem=prof.min_mem,
-            tot=tot,
-            map_overhead_frac=summary["map_overhead_frac"] if summary else None,
-            max_hwm=float(summary["max_hwm"]) if summary else None,
-            max_suspq=float(summary["max_suspq"]) if summary else None,
-            violations=float(nviol) if nviol is not None else None,
-            analysis_errors=(
-                self.analysis_errors(key, p, heuristic, capacity, cap_arg)
-                if collect_analysis else None
-            ),
-            engine_used=res.engine if collect_engine else None,
-            fallback_reason=res.fallback_reason if collect_engine else None,
-            pt_bound=pt_bound,
-            mem_bound=mem_bound,
-            pt_bound_gap=(
-                (res.parallel_time / pt_bound - 1.0
-                 if pt_bound and pt_bound > 0 else INF)
-                if collect_bounds else None
-            ),
-            mem_bound_gap=mem_bound_gap,
+        )
+        return CellMetrics(
+            executable=res is not None, capacity=capacity,
+            min_mem=prof.min_mem, tot=tot, columns=values, **timing,
         )
 
     def engine_counters(self) -> dict:

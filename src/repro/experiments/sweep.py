@@ -28,13 +28,19 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
-from typing import Iterable, Optional, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Iterable, Optional, Sequence
 
-from .common import ExperimentContext
+from ..errors import ExperimentConfigError
+from .common import (
+    INF,
+    CellRun,
+    ExperimentContext,
+    require_procs,
+    require_reference,
+)
 
 FIELDS = (
     "workload",
@@ -50,39 +56,21 @@ FIELDS = (
     "avg_maps",
 )
 
-#: Telemetry columns appended (in this order) when the sweep ran with
-#: ``metrics=True``.  They are omitted entirely otherwise, so a plain
-#: sweep's CSV is byte-identical to pre-telemetry output.
+#: The columns of each opt-in family of :data:`COLUMN_FAMILIES`, in CSV
+#: order: telemetry (``metrics=True``), conformance (``check=True``),
+#: static analysis (``analyze=True``), certified bounds
+#: (``bounds=True``), engine introspection (``engine_stats=True``) and
+#: the failure columns of a supervised sweep that recorded a
+#: :class:`~repro.experiments.runtime.CellFailure`.
 METRIC_FIELDS = (
     "map_overhead_frac",
     "max_hwm",
     "max_suspq",
 )
-
-#: Conformance column appended when the sweep ran with ``check=True``
-#: (opt-in, like the telemetry columns — a plain sweep's CSV is
-#: unchanged).
 CHECK_FIELDS = ("violations",)
-
-#: Static-analysis column appended when the sweep ran with
-#: ``analyze=True`` (opt-in, same contract).
 ANALYZE_FIELDS = ("analysis_errors",)
-
-#: Certified-bound columns appended when the sweep ran with
-#: ``bounds=True`` (opt-in, same contract): the static lower bounds of
-#: :mod:`repro.analysis.bounds` and each cell's relative slack over
-#: them.
 BOUNDS_FIELDS = ("pt_bound", "mem_bound", "pt_bound_gap", "mem_bound_gap")
-
-#: Engine introspection columns appended when the sweep ran with
-#: ``engine_stats=True`` (opt-in, same contract): which engine actually
-#: executed each cell and why a requested-compiled cell fell back.
 ENGINE_FIELDS = ("engine_used", "fallback_reason")
-
-#: Failure columns appended when a *supervised* sweep recorded at least
-#: one :class:`~repro.experiments.runtime.CellFailure` (opt-in, same
-#: contract — a fault-free supervised sweep's CSV is byte-identical to
-#: a plain one's).
 FAILURE_FIELDS = ("status", "error", "attempts", "elapsed")
 
 
@@ -127,6 +115,101 @@ class SweepRecord:
     elapsed: Optional[float] = None
 
 
+def _collect_metrics(ctx: ExperimentContext, run: CellRun) -> tuple:
+    """Telemetry of the instrumented run (:mod:`repro.obs`); the timing
+    columns are unaffected because instrumentation never changes event
+    order."""
+    if run.result is None:
+        return (INF, INF, INF)
+    summary = run.result.metrics["summary"]
+    return (summary["map_overhead_frac"], float(summary["max_hwm"]),
+            float(summary["max_suspq"]))
+
+
+def _collect_check(ctx: ExperimentContext, run: CellRun) -> tuple:
+    """Violations the :class:`~repro.conformance.InvariantChecker` saw
+    (0 everywhere when Theorem 1 holds)."""
+    return (INF if run.result is None else float(run.violations),)
+
+
+def _collect_analysis(ctx: ExperimentContext, run: CellRun) -> tuple:
+    """Error-severity findings of :func:`repro.analysis.analyze_schedule`
+    on the cell's plan; static, so a non-executable cell still gets a
+    real count (its ``SA101``)."""
+    return (ctx.analysis_errors(run.key, run.p, run.heuristic, run.capacity,
+                                run.cap_arg),)
+
+
+def _collect_bounds(ctx: ExperimentContext, run: CellRun) -> tuple:
+    """Certified lower bounds of :mod:`repro.analysis.bounds` and the
+    cell's slack over them (``value/bound - 1``).  Static and cached per
+    (workload, procs, heuristic); only ``pt_bound_gap`` needs a PT, so
+    it is ``inf`` on a non-executable cell."""
+    bset = ctx.bounds_for(run.key, run.p, run.heuristic, run.cap_arg)
+    pt_bound, mem_bound = bset.pt.value, bset.min_mem.value
+    pt_gap = (
+        run.result.parallel_time / pt_bound - 1.0
+        if run.result is not None and pt_bound and pt_bound > 0 else INF
+    )
+    mem_gap = run.min_mem / mem_bound - 1.0 if mem_bound > 0 else INF
+    return (pt_bound, mem_bound, pt_gap, mem_gap)
+
+
+def _collect_engine(ctx: ExperimentContext, run: CellRun) -> tuple:
+    """The engine that executed the cell and the fallback reason of a
+    requested-compiled cell that ran interpreted (a non-executable cell
+    ran none)."""
+    if run.result is None:
+        return (None, None)
+    return (run.result.engine, run.result.fallback_reason)
+
+
+@dataclass(frozen=True)
+class ColumnFamily:
+    """One opt-in group of sweep columns.
+
+    ``name`` is the :func:`full_sweep` flag (and
+    :func:`~repro.experiments.checkpoint.grid_fingerprint` key) that
+    requests the family; ``fields`` are its :class:`SweepRecord`
+    columns, in CSV order; ``collect(ctx, run)`` returns their values
+    for one measured cell (a :class:`~repro.experiments.common.CellRun`).
+    A family without a collector is filled outside the cell loop.
+    """
+
+    name: str
+    fields: tuple
+    collect: Optional[Callable[[ExperimentContext, CellRun], tuple]] = None
+
+
+#: The opt-in column families, in CSV column order.  A family's columns
+#: appear in the CSV only when some record carries them, so a sweep
+#: without it is byte-identical to one that never knew it.
+COLUMN_FAMILIES = (
+    ColumnFamily("metrics", METRIC_FIELDS, _collect_metrics),
+    ColumnFamily("check", CHECK_FIELDS, _collect_check),
+    ColumnFamily("analyze", ANALYZE_FIELDS, _collect_analysis),
+    ColumnFamily("bounds", BOUNDS_FIELDS, _collect_bounds),
+    ColumnFamily("engine_stats", ENGINE_FIELDS, _collect_engine),
+    # filled only by _failure_records, for groups a supervised sweep
+    # recorded as failed
+    ColumnFamily("failure", FAILURE_FIELDS),
+)
+
+#: The families a cell can be asked to collect, by name.
+CELL_FAMILIES = {f.name: f for f in COLUMN_FAMILIES if f.collect is not None}
+
+
+def column_families(names: Sequence[str]) -> list[ColumnFamily]:
+    """The collectable families named in ``names``, in table order."""
+    unknown = [n for n in names if n not in CELL_FAMILIES]
+    if unknown:
+        raise ExperimentConfigError(
+            f"unknown column family(ies) {unknown}; "
+            f"choose from {list(CELL_FAMILIES)}"
+        )
+    return [f for f in CELL_FAMILIES.values() if f.name in names]
+
+
 def _run_group(
     ctx: ExperimentContext,
     key: str,
@@ -134,21 +217,16 @@ def _run_group(
     heuristics: Sequence[str],
     fractions: Sequence[float],
     reference: str,
-    metrics: bool = False,
-    check: bool = False,
-    analyze: bool = False,
     engine: str = "interpreted",
-    engine_stats: bool = False,
-    bounds: bool = False,
+    columns: Sequence[str] = (),
 ) -> list[SweepRecord]:
     """All records of one (workload, procs) group, in grid order."""
     out: list[SweepRecord] = []
     for h in heuristics:
         for f in fractions:
             cell = ctx.run_cell(
-                key, p, h, f, reference=reference, collect_metrics=metrics,
-                collect_check=check, collect_analysis=analyze, engine=engine,
-                collect_engine=engine_stats, collect_bounds=bounds,
+                key, p, h, f, reference=reference, engine=engine,
+                columns=columns,
             )
             out.append(
                 SweepRecord(
@@ -163,17 +241,7 @@ def _run_group(
                     parallel_time=cell.pt,
                     pt_increase=cell.pt_increase,
                     avg_maps=cell.avg_maps,
-                    map_overhead_frac=cell.map_overhead_frac,
-                    max_hwm=cell.max_hwm,
-                    max_suspq=cell.max_suspq,
-                    violations=cell.violations,
-                    analysis_errors=cell.analysis_errors,
-                    pt_bound=cell.pt_bound,
-                    mem_bound=cell.mem_bound,
-                    pt_bound_gap=cell.pt_bound_gap,
-                    mem_bound_gap=cell.mem_bound_gap,
-                    engine_used=cell.engine_used,
-                    fallback_reason=cell.fallback_reason,
+                    **cell.columns,
                 )
             )
     return out
@@ -196,13 +264,12 @@ def _worker_init(spec, registered) -> None:
 
 
 def _worker_run_group(args) -> list[SweepRecord]:
-    (key, p, heuristics, fractions, reference, metrics, check, analyze,
-     engine, engine_stats, bounds) = args
-    assert _WORKER_CTX is not None
-    return _run_group(
-        _WORKER_CTX, key, p, heuristics, fractions, reference, metrics, check,
-        analyze, engine, engine_stats, bounds,
-    )
+    """Run one task tuple of :func:`full_sweep` in a worker process."""
+    if _WORKER_CTX is None:
+        raise ExperimentConfigError(
+            "sweep worker has no context: _worker_init must run first"
+        )
+    return _run_group(_WORKER_CTX, *args)
 
 
 def _worker_engine_counters() -> dict:
@@ -275,22 +342,15 @@ def full_sweep(
     ``ctx.spec``, so custom problems registered on ``ctx`` must be
     picklable to sweep with ``jobs > 1``.
 
-    ``metrics=True`` runs every cell instrumented and fills the
-    telemetry fields of each record (``map_overhead_frac``, ``max_hwm``,
-    ``max_suspq``); the timing fields are unaffected because the
-    simulation is deterministic and instrumentation never changes event
-    order.
-
-    ``check=True`` attaches a
-    :class:`~repro.conformance.InvariantChecker` to every cell's
-    simulation and fills the ``violations`` column (0 everywhere when
-    Theorem 1 holds; non-executable cells get ``inf``).
-
-    ``analyze=True`` statically analyzes every cell's plan
-    (:func:`repro.analysis.analyze_schedule` — no extra simulation) and
-    fills the ``analysis_errors`` column with the count of
-    error-severity findings; planner output is clean by construction,
-    and non-executable cells count their ``SA101``.
+    ``metrics``, ``check``, ``analyze``, ``bounds`` and
+    ``engine_stats`` each fill one opt-in column family of
+    :data:`COLUMN_FAMILIES` (see its collector for what it measures).
+    ``metrics`` and ``check`` observe every cell's simulation; the
+    others read the run or static analyses and never change what runs.
+    On a non-executable cell the columns that need a run are ``inf``
+    (the engine columns empty).  An unknown heuristic or ``reference``,
+    or a processor count that is not an integer >= 1, raises before any
+    cell runs.
 
     ``engine`` selects the simulator engine for every cell (see
     :class:`~repro.machine.simulator.Simulator`).  The engines agree
@@ -313,18 +373,6 @@ def full_sweep(
     ``checkpoint`` journal and executes only the remainder, so a resumed
     run's CSV is byte-identical to an uninterrupted one.
 
-    ``engine_stats=True`` fills the opt-in :data:`ENGINE_FIELDS`
-    columns (which engine executed each cell and the fallback reason of
-    a requested-compiled cell that ran interpreted).
-
-    ``bounds=True`` fills the opt-in :data:`BOUNDS_FIELDS` columns with
-    the certified static lower bounds of :mod:`repro.analysis.bounds`
-    (``pt_bound``/``mem_bound``) and each cell's relative slack over
-    them (``value/bound - 1``; ``pt_bound_gap`` is ``inf`` on
-    non-executable cells).  Purely static — no extra simulation — and
-    cached per (workload, procs, heuristic), so the fraction axis
-    reuses one computation.
-
     ``obs_dir`` (a directory path) makes the run *observed*: the
     supervisor and every worker append runtime-trace shards there
     (schema ``repro-runtime-trace/1``; see :mod:`repro.obs.runtime`),
@@ -332,6 +380,8 @@ def full_sweep(
     event stream.  Either implies the supervised executor; both default
     off, leaving the plain path untouched.
     """
+    # The arguments, so the opt-in column flags are found by family name.
+    flags = dict(locals())
     from ..rapid.inspector import HEURISTICS
 
     unknown = [h for h in heuristics if h not in HEURISTICS]
@@ -339,6 +389,10 @@ def full_sweep(
         raise ValueError(
             f"unknown heuristic(s) {unknown}; choose from {list(HEURISTICS)}"
         )
+    require_reference(reference)
+    for p in procs:
+        require_procs(p)
+    columns = tuple(name for name in CELL_FAMILIES if flags[name])
     if not jobs or jobs < 0:
         jobs = os.cpu_count() or 1
     supervised = (
@@ -348,21 +402,14 @@ def full_sweep(
     if resume and checkpoint is None:
         raise ValueError("resume=True requires a checkpoint directory")
     groups = [(key, p) for key in workloads for p in procs]
-    if not supervised and (jobs == 1 or len(groups) <= 1):
-        out: list[SweepRecord] = []
-        for key, p in groups:
-            out.extend(
-                _run_group(
-                    ctx, key, p, heuristics, fractions, reference, metrics,
-                    check, analyze, engine, engine_stats, bounds,
-                )
-            )
-        return out
+    # _run_group's arguments after the context, one tuple per group.
     tasks = [
-        (key, p, tuple(heuristics), tuple(fractions), reference, metrics,
-         check, analyze, engine, engine_stats, bounds)
+        (key, p, tuple(heuristics), tuple(fractions), reference, engine,
+         columns)
         for key, p in groups
     ]
+    if not supervised and (jobs == 1 or len(groups) <= 1):
+        return [rec for task in tasks for rec in _run_group(ctx, *task)]
     registered = ctx.shipped_problems(workloads)
     if not supervised:
         with ProcessPoolExecutor(
@@ -399,9 +446,8 @@ def full_sweep(
             checkpoint,
             grid_fingerprint(
                 ctx.spec, workloads, procs, heuristics, fractions, reference,
-                metrics, check, analyze, engine,
-                engine_stats=engine_stats, bounds=bounds,
-                harness_faults=harness_faults,
+                engine=engine, harness_faults=harness_faults,
+                **{name: name in columns for name in CELL_FAMILIES},
             ),
         )
         journal.start(resume=resume)
@@ -464,96 +510,58 @@ def full_sweep(
 def to_csv(records: Iterable[SweepRecord], path: Optional[str] = None) -> str:
     """Serialise sweep records as CSV; optionally write to ``path``.
 
-    The telemetry columns of :data:`METRIC_FIELDS` appear only when some
-    record carries them (i.e. the sweep ran with ``metrics=True``), the
-    ``violations`` column only when the sweep ran with ``check=True``,
-    the :data:`BOUNDS_FIELDS` only with ``bounds=True``, the
-    :data:`ENGINE_FIELDS` only with ``engine_stats=True``, and the
-    :data:`FAILURE_FIELDS` only when a supervised sweep recorded a
-    failure; without them the output is byte-identical to a plain
-    sweep's CSV.
+    :data:`FIELDS` always; then each family of
+    :data:`COLUMN_FAMILIES`, in table order, when some record carries
+    it (a family is recognised by its first column being set).  Without
+    opt-in columns the output is byte-identical to a plain sweep's CSV.
 
     Writing is crash-safe: the text goes to a same-directory temporary
     file and is atomically renamed into place, so an interrupted sweep
     never leaves a truncated CSV behind.
     """
     records = list(records)
-    with_metrics = any(r.map_overhead_frac is not None for r in records)
-    fields = FIELDS + METRIC_FIELDS if with_metrics else FIELDS
-    if any(r.violations is not None for r in records):
-        fields = fields + CHECK_FIELDS
-    if any(r.analysis_errors is not None for r in records):
-        fields = fields + ANALYZE_FIELDS
-    if any(r.pt_bound is not None for r in records):
-        fields = fields + BOUNDS_FIELDS
-    if any(r.engine_used is not None for r in records):
-        fields = fields + ENGINE_FIELDS
-    if any(r.status is not None for r in records):
-        fields = fields + FAILURE_FIELDS
+    fields = FIELDS + tuple(
+        name
+        for family in COLUMN_FAMILIES
+        if any(getattr(r, family.fields[0]) is not None for r in records)
+        for name in family.fields
+    )
+    from .checkpoint import atomic_write_text, record_to_json
+
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=fields, extrasaction="ignore")
     writer.writeheader()
     for r in records:
-        row = asdict(r)
-        for k, v in row.items():
-            if isinstance(v, float) and math.isinf(v):
-                row[k] = "inf"
-            elif v is None:
-                row[k] = ""
-        writer.writerow(row)
+        row = record_to_json(r)
+        writer.writerow({k: "" if v is None else v for k, v in row.items()})
     text = buf.getvalue()
     if path:
-        from .checkpoint import atomic_write_text
-
         atomic_write_text(path, text)
     return text
 
 
+_PARSE = {"str": str, "int": int, "float": float, "bool": lambda x: x == "True"}
+
+#: ``column -> (parse, optional)``, read off the :class:`SweepRecord`
+#: annotations (``float`` also parses ``"inf"``).
+_COLUMN_PARSERS = {
+    f.name: (
+        _PARSE[f.type.removeprefix("Optional[").removesuffix("]")],
+        f.type.startswith("Optional["),
+    )
+    for f in fields(SweepRecord)
+}
+
+
 def from_csv(text: str) -> list[SweepRecord]:
-    """Parse CSV produced by :func:`to_csv` (round-trip support),
-    with or without the telemetry columns."""
+    """Parse CSV produced by :func:`to_csv` (round-trip support), with
+    or without the opt-in columns; a missing or empty optional cell is
+    ``None``."""
     out: list[SweepRecord] = []
     for row in csv.DictReader(io.StringIO(text)):
-        def f(x: str) -> float:
-            return float("inf") if x == "inf" else float(x)
-
-        def opt(name: str) -> Optional[float]:
-            x = row.get(name)
-            return f(x) if x not in (None, "") else None
-
-        def opt_str(name: str) -> Optional[str]:
-            x = row.get(name)
-            return x if x not in (None, "") else None
-
-        attempts = row.get("attempts")
-        out.append(
-            SweepRecord(
-                workload=row["workload"],
-                procs=int(row["procs"]),
-                heuristic=row["heuristic"],
-                fraction=float(row["fraction"]),
-                executable=row["executable"] == "True",
-                capacity=int(row["capacity"]),
-                min_mem=int(row["min_mem"]),
-                tot=int(row["tot"]),
-                parallel_time=f(row["parallel_time"]),
-                pt_increase=f(row["pt_increase"]),
-                avg_maps=f(row["avg_maps"]),
-                map_overhead_frac=opt("map_overhead_frac"),
-                max_hwm=opt("max_hwm"),
-                max_suspq=opt("max_suspq"),
-                violations=opt("violations"),
-                analysis_errors=opt("analysis_errors"),
-                pt_bound=opt("pt_bound"),
-                mem_bound=opt("mem_bound"),
-                pt_bound_gap=opt("pt_bound_gap"),
-                mem_bound_gap=opt("mem_bound_gap"),
-                engine_used=opt_str("engine_used"),
-                fallback_reason=opt_str("fallback_reason"),
-                status=opt_str("status"),
-                error=opt_str("error"),
-                attempts=int(attempts) if attempts not in (None, "") else None,
-                elapsed=opt("elapsed"),
-            )
-        )
+        values = {}
+        for name, (parse, optional) in _COLUMN_PARSERS.items():
+            x = row.get(name) if optional else row[name]
+            values[name] = None if optional and x in (None, "") else parse(x)
+        out.append(SweepRecord(**values))
     return out

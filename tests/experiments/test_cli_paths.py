@@ -155,3 +155,11 @@ def test_sweep_metrics_columns(tmp_path, capsys):
     assert "map_overhead_frac" not in plain.read_text()
     header = inst.read_text().splitlines()[0]
     assert header.endswith("map_overhead_frac,max_hwm,max_suspq")
+
+
+@pytest.mark.parametrize("procs", ["0", "-1"])
+def test_sweep_bad_procs_is_a_usage_error(procs, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--procs", procs, "--out", str(out)]) == 2
+    assert "processor count must be an integer >= 1" in capsys.readouterr().err
+    assert not out.exists()

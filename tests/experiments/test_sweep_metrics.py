@@ -103,8 +103,8 @@ class TestMetricsColumns:
         ctx = ExperimentContext()
         a = ctx.run_cell("lu-goodwin", 4, "rcp", 1.0, reference="rcp")
         b = ctx.run_cell(
-            "lu-goodwin", 4, "rcp", 1.0, reference="rcp", collect_metrics=True
+            "lu-goodwin", 4, "rcp", 1.0, reference="rcp", columns=("metrics",)
         )
-        assert a.map_overhead_frac is None
-        assert b.map_overhead_frac is not None
+        assert a.columns.get("map_overhead_frac") is None
+        assert b.columns.get("map_overhead_frac") is not None
         assert a.pt == b.pt

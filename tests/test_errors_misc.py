@@ -103,3 +103,62 @@ class TestHostileSizesAndCapacities:
                 ctx.run_cell("chol15", 2, "rcp", bad)
         # finite capacities keep working, whatever their numeric type
         assert Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=8.0).run()
+
+
+class TestExperimentConfig:
+    """Bad processor counts, TOT references and column families are
+    rejected up front with a typed error that is also a ValueError."""
+
+    def test_error_is_typed(self):
+        assert issubclass(errors.ExperimentConfigError, errors.ReproError)
+        assert issubclass(errors.ExperimentConfigError, ValueError)
+
+    def test_run_cell_rejects_bad_procs(self):
+        import numpy as np
+        import pytest
+
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext()
+        for bad in (0, -1, 2.0, True, "4", None):
+            with pytest.raises(errors.ExperimentConfigError):
+                ctx.run_cell("chol15", bad, "rcp", 1.0)
+        assert ctx.run_cell("chol15", np.int64(2), "rcp", 1.0).executable
+
+    def test_run_cell_rejects_unknown_reference_and_family(self):
+        import pytest
+
+        from repro.experiments import ExperimentContext
+
+        ctx = ExperimentContext()
+        with pytest.raises(errors.ExperimentConfigError, match="bogus"):
+            ctx.run_cell("chol15", 2, "rcp", 1.0, reference="bogus")
+        with pytest.raises(errors.ExperimentConfigError, match="failure"):
+            ctx.run_cell("chol15", 2, "rcp", 1.0, columns=("failure",))
+
+    def test_full_sweep_checks_before_running(self):
+        import pytest
+
+        from repro.experiments import ExperimentContext, full_sweep
+
+        class NoProblems(ExperimentContext):
+            def problem(self, key):
+                raise AssertionError("a cell ran before validation")
+
+        grid = dict(workloads=("chol15",), heuristics=("rcp",),
+                    fractions=(1.0,))
+        with pytest.raises(errors.ExperimentConfigError):
+            full_sweep(NoProblems(), procs=(2, 0), **grid)
+        with pytest.raises(errors.ExperimentConfigError):
+            full_sweep(NoProblems(), procs=(2,), reference="bogus", **grid)
+
+    def test_worker_without_context_is_typed(self, monkeypatch):
+        import pytest
+
+        from repro.experiments import sweep
+
+        monkeypatch.setattr(sweep, "_WORKER_CTX", None)
+        with pytest.raises(errors.ExperimentConfigError):
+            sweep._worker_run_group(
+                ("chol15", 2, ("rcp",), (1.0,), "rcp", "interpreted", ())
+            )
