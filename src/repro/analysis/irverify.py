@@ -10,12 +10,13 @@ correctly on current workloads was invisible.  This module checks the
 IR *structurally*, the way ``llvm::verifyModule`` checks a module:
 
 ``SA501`` **csr-well-formed**
-    every pointer/index array pair is a valid CSR (monotone pointers,
-    indices inside their id space) and the entity counts agree.
+    every pointer/index table pair the run loop indexes is a valid CSR
+    (monotone pointers, indices inside their id space) and the entity
+    counts agree.  The lowering holds each table once, so this checks
+    exactly the lists the engine executes.
 ``SA502`` **id-space-bijective**
     tids/oids/mks/sks/groups invert exactly to the schedule's tasks,
-    the graph's objects and the index dicts; the successor CSR matches
-    ``TaskGraph.successor_map``.
+    the graph's objects and the index dicts.
 ``SA503`` **version-table-consistent**
     the static dispatch-version flags (``od_ok0``/``od_ow``), stale
     counters (``mk_need0``), pending counts and waiter lists agree with
@@ -150,8 +151,6 @@ def _csr_pass(lo) -> list[Diagnostic]:
                nsk, nt, "tid-space")
     _check_csr(diags, "grp_ptr/grp_mk", lo.grp_ptr, lo.grp_mk, lo.num_grp,
                nm, "mk-space")
-    _check_csr(diags, "succ_ptr/succ_tid", lo.succ_ptr, lo.succ_tid, nt, nt,
-               "tid-space")
     return diags[:MAX_FINDINGS]
 
 
@@ -177,7 +176,7 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     elif len(set(lo.task_name)) != len(lo.task_name):
         add("task_name contains duplicate tids")
     for q in range(lo.num_procs):
-        lob, hib = int(lo.proc_start[q]), int(lo.proc_start[q + 1])
+        lob, hib = lo.proc_start[q], lo.proc_start[q + 1]
         if hib - lob != len(sched.orders[q]):
             if add(f"tid range [{lob}, {hib}) disagrees with the order "
                    f"length {len(sched.orders[q])}", proc=q):
@@ -197,15 +196,15 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
             if add(f"mk_index[{(dest, m, unit)!r}] = {mk} out of range"):
                 return diags
             continue
-        if (lo.mk_dest_l[mk] != dest
-                or lo.mk_oname_l[mk] != m
-                or lo.mk_uname_l[mk] != unit
-                or lo.mk_oid_l[mk] != g.object_index[m]):
+        if (lo.mk_dest[mk] != dest
+                or lo.mk_oname[mk] != m
+                or lo.mk_uname[mk] != unit
+                or lo.mk_oid[mk] != g.object_index[m]):
             if add(f"mk {mk} does not round-trip its key "
                    f"{(dest, m, unit)!r}", obj=m, proc=dest):
                 return diags
     for (u, dest), sk in lo.sk_index.items():
-        if not (0 <= sk < lo.num_sk) or lo.sk_dest_l[sk] != dest:
+        if not (0 <= sk < lo.num_sk) or lo.sk_dest[sk] != dest:
             if add(f"sk {sk} does not round-trip its key {(u, dest)!r}",
                    proc=dest):
                 return diags
@@ -213,30 +212,17 @@ def _bijection_pass(cs, lo) -> list[Diagnostic]:
     # group partition: every mk appears exactly once, under its group.
     seen = [0] * lo.num_mk
     for gid in range(lo.num_grp):
-        for j in range(int(lo.grp_ptr[gid]), int(lo.grp_ptr[gid + 1])):
-            mk = int(lo.grp_mk[j])
+        for j in range(lo.grp_ptr[gid], lo.grp_ptr[gid + 1]):
+            mk = lo.grp_mk[j]
             seen[mk] += 1
-            if lo.grp_of_l[mk] != gid:
+            if lo.grp_of[mk] != gid:
                 if add(f"mk {mk} listed under group {gid} but grp_of says "
-                       f"{lo.grp_of_l[mk]}"):
+                       f"{lo.grp_of[mk]}"):
                     return diags
     bad = [mk for mk, n in enumerate(seen) if n != 1]
     if bad:
         add(f"groups do not partition the mk space (mks {bad[:5]} appear "
             "!= once)")
-
-    # successor CSR == TaskGraph.successor_map.
-    tid_of = {name: i for i, name in enumerate(lo.task_name)}
-    smap = g.successor_map()
-    for tid, name in enumerate(lo.task_name):
-        want = {tid_of[v] for v in smap.get(name, {})}
-        got = {int(lo.succ_tid[j])
-               for j in range(int(lo.succ_ptr[tid]),
-                              int(lo.succ_ptr[tid + 1]))}
-        if want != got:
-            if add(f"successor CSR of task {name!r} disagrees with the "
-                   "graph", task=name):
-                return diags
     return diags[:MAX_FINDINGS]
 
 
@@ -256,21 +242,21 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
     tid_of = {name: i for i, name in enumerate(lo.task_name)}
     for tid, name in enumerate(lo.task_name):
         want = cs.pending0.get(name, 0)
-        if lo.pending0_l[tid] != want:
-            if add(f"pending0[{tid}] = {lo.pending0_l[tid]} but the "
+        if lo.pending0[tid] != want:
+            if add(f"pending0[{tid}] = {lo.pending0[tid]} but the "
                    f"schedule needs {want} inputs", task=name):
                 return diags
     for (dest, m, unit), mk in lo.mk_index.items():
         want_need = cs.need_count0[dest][(m, unit)]
-        if lo.mk_need0_l[mk] != want_need:
-            if add(f"mk_need0[{mk}] = {lo.mk_need0_l[mk]} but "
+        if lo.mk_need0[mk] != want_need:
+            if add(f"mk_need0[{mk}] = {lo.mk_need0[mk]} but "
                    f"{want_need} stale copies are outstanding",
                    obj=m, proc=dest):
                 return diags
         want_wait = sorted(tid_of[w] for w in cs.data_waiters[dest][(m, unit)])
         got_wait = sorted(
-            int(lo.wait_tid[j])
-            for j in range(int(lo.wait_ptr[mk]), int(lo.wait_ptr[mk + 1]))
+            lo.wait_tid[j]
+            for j in range(lo.wait_ptr[mk], lo.wait_ptr[mk + 1])
         )
         if want_wait != got_wait:
             if add(f"waiter list of mk {mk} disagrees with data_waiters",
@@ -279,8 +265,8 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
     for (u, dest), sk in lo.sk_index.items():
         want_wait = sorted(tid_of[w] for w in cs.sync_waiters[dest][u])
         got_wait = sorted(
-            int(lo.swait_tid[j])
-            for j in range(int(lo.swait_ptr[sk]), int(lo.swait_ptr[sk + 1]))
+            lo.swait_tid[j]
+            for j in range(lo.swait_ptr[sk], lo.swait_ptr[sk + 1])
         )
         if want_wait != got_wait:
             if add(f"waiter list of sk {sk} disagrees with sync_waiters",
@@ -292,31 +278,31 @@ def _version_pass(cs, lo) -> list[Diagnostic]:
     for q in range(lo.num_procs):
         ver: dict[int, str] = {}
         writes: dict[int, list[tuple[int, str]]] = {}
-        lob, hib = int(lo.proc_start[q]), int(lo.proc_start[q + 1])
+        lob, hib = lo.proc_start[q], lo.proc_start[q + 1]
         for pos, tid in enumerate(range(lob, hib)):
             name = lo.task_name[tid]
             for m, uu in cs.write_version[name]:
                 ver[oid_of[m]] = uu
                 writes.setdefault(oid_of[m], []).append((pos, uu))
-            for od in range(lo.od_ptr_l[tid], lo.od_ptr_l[tid + 1]):
-                ok = ver.get(int(lo.od_oid[od])) == lo.od_uname_l[od]
-                if bool(lo.od_ok0_l[od]) != ok:
-                    if add(f"od_ok0[{od}] = {bool(lo.od_ok0_l[od])} but the "
+            for od in range(lo.od_ptr[tid], lo.od_ptr[tid + 1]):
+                ok = ver.get(lo.od_oid[od]) == lo.od_uname[od]
+                if lo.od_ok0[od] != ok:
+                    if add(f"od_ok0[{od}] = {lo.od_ok0[od]} but the "
                            f"order scan proves {ok}",
-                           proc=q, task=name, obj=lo.od_oname_l[od]):
+                           proc=q, task=name, obj=lo.od_oname[od]):
                         return diags
         for pos, tid in enumerate(range(lob, hib)):
-            for od in range(lo.od_ptr_l[tid], lo.od_ptr_l[tid + 1]):
-                req = lo.od_uname_l[od]
+            for od in range(lo.od_ptr[tid], lo.od_ptr[tid + 1]):
+                req = lo.od_uname[od]
                 ow = _NO_OVERWRITE
-                for wpos, uu in writes.get(int(lo.od_oid[od]), ()):
+                for wpos, uu in writes.get(lo.od_oid[od], ()):
                     if wpos > pos and uu != req:
                         ow = wpos
                         break
-                if lo.od_ow_l[od] != ow:
-                    if add(f"od_ow[{od}] = {lo.od_ow_l[od]} but the first "
+                if lo.od_ow[od] != ow:
+                    if add(f"od_ow[{od}] = {lo.od_ow[od]} but the first "
                            f"invalidating overwrite is at {ow}",
-                           proc=q, obj=lo.od_oname_l[od]):
+                           proc=q, obj=lo.od_oname[od]):
                         return diags
     return diags[:MAX_FINDINGS]
 
@@ -337,18 +323,18 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
         return len(diags) >= MAX_FINDINGS
 
     def silent(tid: int) -> bool:
-        return (lo.pending0_l[tid] == 0
-                and lo.od_ptr_l[tid] == lo.od_ptr_l[tid + 1]
-                and lo.os_ptr_l[tid] == lo.os_ptr_l[tid + 1]
-                and lo.cons_ptr_l[tid] == lo.cons_ptr_l[tid + 1])
+        return (lo.pending0[tid] == 0
+                and lo.od_ptr[tid] == lo.od_ptr[tid + 1]
+                and lo.os_ptr[tid] == lo.os_ptr[tid + 1]
+                and lo.cons_ptr[tid] == lo.cons_ptr[tid + 1])
 
     if len(ep.steps) != lo.num_procs:
         add(f"{len(ep.steps)} step programs for {lo.num_procs} processors")
         return diags
     covered = 0
     for q in range(lo.num_procs):
-        cursor = int(lo.proc_start[q])
-        end = int(lo.proc_start[q + 1])
+        cursor = lo.proc_start[q]
+        end = lo.proc_start[q + 1]
         for si, step in enumerate(ep.steps[q]):
             op = step[0]
             if op == _MAP_OP:
@@ -378,9 +364,9 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
                                f"{lo.task_name[tid]!r} which is not silent "
                                "(it has inputs, messages or consumptions)",
                                proc=q, task=lo.task_name[tid],
-                               position=tid - int(lo.proc_start[q])):
+                               position=tid - lo.proc_start[q]):
                             return diags
-                    if ws[k] != lo.weight_l[tid]:
+                    if ws[k] != lo.weight[tid]:
                         if add(f"SEG step {si} weight {ws[k]!r} disagrees "
                                f"with task {lo.task_name[tid]!r}",
                                proc=q, task=lo.task_name[tid]):
@@ -394,16 +380,16 @@ def _opcode_pass(lo, ep) -> list[Diagnostic]:
                            f"program position expects tid {cursor}", proc=q):
                         return diags
                     cursor = tid  # resync to keep later findings meaningful
-                if not (int(lo.proc_start[q]) <= tid < end):
+                if not (lo.proc_start[q] <= tid < end):
                     if add(f"TASK step {si} tid {tid} outside P{q}'s range",
                            proc=q):
                         return diags
                     continue
                 want = (
-                    _TASK_OP, tid, lo.weight_l[tid],
-                    lo.od_ptr_l[tid], lo.od_ptr_l[tid + 1],
-                    lo.os_ptr_l[tid], lo.os_ptr_l[tid + 1],
-                    lo.cons_ptr_l[tid], lo.cons_ptr_l[tid + 1],
+                    _TASK_OP, tid, lo.weight[tid],
+                    lo.od_ptr[tid], lo.od_ptr[tid + 1],
+                    lo.os_ptr[tid], lo.os_ptr[tid + 1],
+                    lo.cons_ptr[tid], lo.cons_ptr[tid + 1],
                 )
                 if tuple(step) != want:
                     if add(f"TASK step {si} ranges disagree with the "
@@ -441,12 +427,12 @@ def _cost_pass(lo, ep) -> list[Diagnostic]:
         diags.append(Diagnostic.of("SA505", msg, **kw))
         return len(diags) >= MAX_FINDINGS
 
-    for tid, w in enumerate(lo.weight_l):
+    for tid, w in enumerate(lo.weight):
         if not _finite_nonneg(w):
             if add(f"task weight[{tid}] = {w!r} is not finite non-negative",
                    task=lo.task_name[tid]):
                 return diags
-    for oid, sz in enumerate(lo.obj_size_l):
+    for oid, sz in enumerate(lo.obj_size):
         if sz < 0:
             if add(f"obj_size[{oid}] = {sz} is negative",
                    obj=lo.obj_name[oid]):
@@ -455,20 +441,19 @@ def _cost_pass(lo, ep) -> list[Diagnostic]:
         if pb < 0:
             if add(f"perm_bytes[P{q}] = {pb} is negative", proc=q):
                 return diags
-    for od, nb in enumerate(lo.od_nbytes.tolist()):
+    for od, nb in enumerate(lo.od_nbytes):
         if nb < 0:
             if add(f"od_nbytes[{od}] = {nb} is negative"):
                 return diags
 
     if ep is not None:
         spec = ep.spec
-        nbytes = lo.od_nbytes.tolist()
-        for od in range(len(nbytes)):
-            if ep.od_net_l[od] != spec.message_time(nbytes[od]):
+        for od, nb in enumerate(lo.od_nbytes):
+            if ep.od_net_l[od] != spec.message_time(nb):
                 if add(f"od_net[{od}] = {ep.od_net_l[od]!r} does not "
                        "reproduce spec.message_time"):
                     return diags
-            if ep.od_nic_l[od] != nbytes[od] * spec.byte_time:
+            if ep.od_nic_l[od] != nb * spec.byte_time:
                 if add(f"od_nic[{od}] = {ep.od_nic_l[od]!r} does not "
                        "reproduce spec.byte_time"):
                     return diags

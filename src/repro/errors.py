@@ -47,6 +47,16 @@ class ObjectSizeError(GraphError, ValueError):
     """
 
 
+class TaskWeightError(GraphError, ValueError):
+    """A task's weight is not a finite non-negative real number.
+
+    Also a :class:`ValueError`, which negative weights always raised.
+    The engines add weights into finish times, and the compiled engine's
+    vectorised segment kernel relies on nondecreasing finish-time
+    prefixes, which a NaN or negative weight would break.
+    """
+
+
 class CapacityError(ReproError, ValueError):
     """A memory capacity (or capacity fraction) is not a finite number."""
 

@@ -19,8 +19,12 @@ Tasks may carry:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Callable, Optional
+
+from ..errors import TaskWeightError
 
 
 #: Signature of a numeric kernel: ``kernel(store)`` where ``store`` maps
@@ -43,7 +47,8 @@ class Task:
         both sets are read-modify-written, the common case in sparse
         factorizations.
     weight:
-        Predicted execution time in seconds (or abstract units).
+        Predicted execution time in seconds (or abstract units); a
+        finite non-negative real, else :class:`~repro.errors.TaskWeightError`.
     commute:
         Optional commuting-group key.  Tasks sharing a key are mutually
         commutative: the builder omits dependence edges among them and
@@ -62,8 +67,16 @@ class Task:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("task name must be non-empty")
-        if self.weight < 0:
-            raise ValueError(f"task {self.name!r} has negative weight {self.weight}")
+        w = self.weight
+        if (
+            type(w) is not float and type(w) is not int
+            and (isinstance(w, bool) or not isinstance(w, Real))
+        ) or not math.isfinite(w):
+            raise TaskWeightError(
+                f"task {self.name!r} weight {w!r} is not a finite real number"
+            )
+        if w < 0:
+            raise TaskWeightError(f"task {self.name!r} has negative weight {w}")
         # Normalise to tuples so Task stays hashable even when callers
         # pass lists.
         if not isinstance(self.reads, tuple):

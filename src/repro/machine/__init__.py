@@ -18,7 +18,6 @@ from .simulator import (
     SimResult,
     Simulator,
     TraceEvent,
-    compile_schedule,
     simulate,
 )
 
@@ -37,7 +36,6 @@ __all__ = [
     "Simulator",
     "TraceEvent",
     "UNIT_MACHINE",
-    "compile_schedule",
     "get_exec_plan",
     "lower_schedule",
     "simulate",

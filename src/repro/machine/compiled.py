@@ -6,7 +6,7 @@ Definitions 3–6 — into dense int-indexed tables and executes them with
 a flat event queue, replacing the per-event Python objects of the
 interpreted engine with integer codes and scalar state vectors.
 
-Array layouts
+Table layouts
 -------------
 
 Lowering (:func:`lower_schedule`, capacity/spec-independent, memoised on
@@ -14,8 +14,8 @@ the ``CompiledSchedule``) enumerates every entity as a small integer:
 
 ``tid``
     task id = position in the flattened processor orders;
-    ``proc_start`` (an int64 offset array, one entry per processor plus
-    a sentinel) maps a processor to its contiguous tid range.
+    ``proc_start`` (an offset list, one entry per processor plus a
+    sentinel) maps a processor to its contiguous tid range.
 ``oid`` / ``uid``
     object and producer-unit ids (``TaskGraph.object_index`` order).
 ``mk``
@@ -104,12 +104,12 @@ caller-supplied MAP plan, non-negative spec costs) — everything else
 falls back to the interpreted oracle explicitly and is recorded in
 ``SimResult.engine``.
 
-Implementation note: the lowered IR is held in numpy arrays (dense,
-mmap-friendly, validated in the tests); the run loop itself indexes
-plain Python list mirrors of those arrays, because scalar list indexing
-is several times faster than per-element numpy indexing under CPython —
-the arrays are the source of truth, the mirrors are derived once per
-lowering.
+Implementation note: each lowered table is a plain Python list, held
+once: scalar list indexing is several times faster than per-element
+numpy indexing under CPython, and the IR verifier checks the very lists
+the run loop reads.  numpy appears only in the SEG kernels
+(:func:`_make_seg`, :func:`_seg_all_vec`, :func:`_seg_until_vec`), a
+size-selected fast path over one segment's weights.
 """
 
 from __future__ import annotations
@@ -162,14 +162,14 @@ _EPS = 2.0 ** -53
 
 
 class LoweredSchedule:
-    """Dense-array IR of one compiled schedule (spec/capacity-free).
+    """Dense int-indexed IR of one compiled schedule (spec/capacity-free).
 
     Built once per :class:`~repro.machine.simulator.CompiledSchedule`
-    by :func:`lower_schedule`; every attribute ending in ``_l`` is the
-    Python-list mirror of the numpy array of the same stem (see module
+    by :func:`lower_schedule`.  Each table is one Python list, the one
+    the run loop indexes and the IR verifier checks (see module
     docstring).  Cold-path diagnostics keep the name-level index dicts
-    (``mk_index``/``sk_index``) so deadlock reports match the
-    interpreted engine verbatim.
+    (``mk_index``/``sk_index``) and the per-message names so deadlock
+    reports match the interpreted engine verbatim.
 
     ``base_steps[q]`` is processor ``q``'s MAP-free SEG/TASK step
     program and ``base_pos[q][k]`` the order position step ``k`` starts
@@ -182,22 +182,15 @@ class LoweredSchedule:
         "num_procs", "num_tasks", "num_objects", "num_mk", "num_sk",
         "num_ak", "num_grp",
         "proc_start", "task_name", "weight", "pending0",
-        "weight_l", "pending0_l",
         "od_ptr", "od_mk", "od_ak", "od_dest", "od_oid", "od_nbytes",
-        "od_ok0", "od_ow",
-        "od_ptr_l", "od_mk_l", "od_ak_l", "od_dest_l", "od_ok0_l",
-        "od_ow_l", "od_uname_l", "od_oname_l", "od_tuple_l",
-        "os_ptr", "os_sk", "os_ptr_l", "os_sk_l",
-        "cons_ptr", "cons_mk", "cons_ptr_l", "cons_mk_l",
-        "mk_dest", "mk_oid", "mk_need0",
-        "mk_dest_l", "mk_oid_l", "mk_need0_l", "mk_oname_l", "mk_uname_l",
-        "wait_ptr", "wait_tid", "wait_ptr_l", "wait_tid_l",
-        "grp_of", "grp_ptr", "grp_mk", "grp_of_l", "grp_ptr_l", "grp_mk_l",
-        "sk_dest", "sk_dest_l", "swait_ptr", "swait_tid",
-        "swait_ptr_l", "swait_tid_l",
+        "od_uname", "od_oname", "od_ok0", "od_ow",
+        "os_ptr", "os_sk", "cons_ptr", "cons_mk",
+        "mk_dest", "mk_oid", "mk_need0", "mk_oname", "mk_uname",
+        "wait_ptr", "wait_tid",
+        "grp_of", "grp_ptr", "grp_mk",
+        "sk_dest", "swait_ptr", "swait_tid",
         "ak_index", "mk_index", "sk_index", "grp_index",
-        "obj_name", "obj_size", "obj_size_l",
-        "succ_ptr", "succ_tid",
+        "obj_name", "obj_size",
         "span_oids", "perm_bytes", "writes_by_po",
         "base_steps", "base_pos", "spec_costs",
     )
@@ -252,11 +245,11 @@ def lower_schedule(cs) -> LoweredSchedule:
     lo.num_objects = g.num_objects
 
     # --- tasks: tid = flattened order position -----------------------
-    proc_start = np.zeros(nprocs + 1, dtype=np.int64)
+    proc_start = [0]
     task_name: list[str] = []
     for q in range(nprocs):
         task_name.extend(sched.orders[q])
-        proc_start[q + 1] = len(task_name)
+        proc_start.append(len(task_name))
     ntasks = len(task_name)
     tid_of = {name: i for i, name in enumerate(task_name)}
     proc_of = [0] * ntasks
@@ -267,58 +260,46 @@ def lower_schedule(cs) -> LoweredSchedule:
     lo.proc_start = proc_start
     lo.task_name = task_name
 
-    weight = np.fromiter(
-        (cs.weight[t] for t in task_name), dtype=np.float64, count=ntasks
-    )
-    if ntasks and float(weight.min()) < 0.0:
+    weight = [float(cs.weight[t]) for t in task_name]
+    if any(w < 0.0 for w in weight):
         raise SimulationError(
             "compiled engine requires non-negative task weights"
         )
-    pending0 = np.fromiter(
-        (cs.pending0.get(t, 0) for t in task_name), dtype=np.int64,
-        count=ntasks,
-    )
+    pending0 = [cs.pending0.get(t, 0) for t in task_name]
     lo.weight, lo.pending0 = weight, pending0
-    lo.weight_l = weight_l = weight.tolist()
-    lo.pending0_l = pending0_l = pending0.tolist()
 
     # --- objects / units ---------------------------------------------
-    nobjects = g.num_objects
-    obj_name = [""] * nobjects
+    obj_name = [""] * g.num_objects
     for name, oid in g.object_index.items():
         obj_name[oid] = name
-    obj_size = np.zeros(nobjects, dtype=np.int64)
-    for name, oid in g.object_index.items():
-        obj_size[oid] = cs.obj_size[name]
     lo.obj_name = obj_name
-    lo.obj_size = obj_size
-    lo.obj_size_l = obj_size.tolist()
+    lo.obj_size = [int(cs.obj_size[name]) for name in obj_name]
     oid_of = g.object_index
 
     # --- message keys (mk), groups, sync keys (sk) --------------------
     mk_index: dict[tuple, int] = {}
-    mk_dest_l: list[int] = []
-    mk_oid_l: list[int] = []
-    mk_oname_l: list[str] = []
-    mk_uname_l: list[str] = []
-    mk_need0_l: list[int] = []
-    wait_ptr_l = [0]
-    wait_tid_l: list[int] = []
+    mk_dest: list[int] = []
+    mk_oid: list[int] = []
+    mk_oname: list[str] = []
+    mk_uname: list[str] = []
+    mk_need0: list[int] = []
+    wait_ptr = [0]
+    wait_tid: list[int] = []
     grp_index: dict[tuple, int] = {}
     grp_members: list[list[int]] = []
-    grp_of_l: list[int] = []
+    grp_of: list[int] = []
     for dest in range(nprocs):
         need0 = cs.need_count0[dest]
         for (m, unit), waiters in cs.data_waiters[dest].items():
-            mk = len(mk_dest_l)
+            mk = len(mk_dest)
             mk_index[(dest, m, unit)] = mk
-            mk_dest_l.append(dest)
-            mk_oid_l.append(oid_of[m])
-            mk_oname_l.append(m)
-            mk_uname_l.append(unit)
-            mk_need0_l.append(need0[(m, unit)])
-            wait_tid_l.extend(tid_of[w] for w in waiters)
-            wait_ptr_l.append(len(wait_tid_l))
+            mk_dest.append(dest)
+            mk_oid.append(oid_of[m])
+            mk_oname.append(m)
+            mk_uname.append(unit)
+            mk_need0.append(need0[(m, unit)])
+            wait_tid.extend(tid_of[w] for w in waiters)
+            wait_ptr.append(len(wait_tid))
             gkey = (dest, m)
             gid = grp_index.get(gkey)
             if gid is None:
@@ -326,62 +307,48 @@ def lower_schedule(cs) -> LoweredSchedule:
                 grp_index[gkey] = gid
                 grp_members.append([])
             grp_members[gid].append(mk)
-            grp_of_l.append(gid)
-    grp_ptr_l = [0]
-    grp_mk_l: list[int] = []
+            grp_of.append(gid)
+    grp_ptr = [0]
+    grp_mk: list[int] = []
     for members in grp_members:
-        grp_mk_l.extend(members)
-        grp_ptr_l.append(len(grp_mk_l))
+        grp_mk.extend(members)
+        grp_ptr.append(len(grp_mk))
 
     sk_index: dict[tuple, int] = {}
-    sk_dest_l: list[int] = []
-    swait_ptr_l = [0]
-    swait_tid_l: list[int] = []
+    sk_dest: list[int] = []
+    swait_ptr = [0]
+    swait_tid: list[int] = []
     for dest in range(nprocs):
         for u, waiters in cs.sync_waiters[dest].items():
-            sk_index[(u, dest)] = len(sk_dest_l)
-            sk_dest_l.append(dest)
-            swait_tid_l.extend(tid_of[w] for w in waiters)
-            swait_ptr_l.append(len(swait_tid_l))
+            sk_index[(u, dest)] = len(sk_dest)
+            sk_dest.append(dest)
+            swait_tid.extend(tid_of[w] for w in waiters)
+            swait_ptr.append(len(swait_tid))
 
-    lo.num_mk = len(mk_dest_l)
-    lo.num_sk = len(sk_dest_l)
+    lo.num_mk = len(mk_dest)
+    lo.num_sk = len(sk_dest)
     lo.num_grp = len(grp_members)
     lo.mk_index, lo.sk_index, lo.grp_index = mk_index, sk_index, grp_index
-    lo.mk_dest = np.asarray(mk_dest_l, dtype=np.int64)
-    lo.mk_oid = np.asarray(mk_oid_l, dtype=np.int64)
-    lo.mk_need0 = np.asarray(mk_need0_l, dtype=np.int64)
-    lo.mk_dest_l, lo.mk_oid_l = mk_dest_l, mk_oid_l
-    lo.mk_oname_l, lo.mk_uname_l = mk_oname_l, mk_uname_l
-    lo.mk_need0_l = mk_need0_l
-    lo.wait_ptr = np.asarray(wait_ptr_l, dtype=np.int64)
-    lo.wait_tid = np.asarray(wait_tid_l, dtype=np.int64)
-    lo.wait_ptr_l, lo.wait_tid_l = wait_ptr_l, wait_tid_l
-    lo.grp_of = np.asarray(grp_of_l, dtype=np.int64)
-    lo.grp_ptr = np.asarray(grp_ptr_l, dtype=np.int64)
-    lo.grp_mk = np.asarray(grp_mk_l, dtype=np.int64)
-    lo.grp_of_l, lo.grp_ptr_l, lo.grp_mk_l = grp_of_l, grp_ptr_l, grp_mk_l
-    lo.sk_dest = np.asarray(sk_dest_l, dtype=np.int64)
-    lo.sk_dest_l = sk_dest_l
-    lo.swait_ptr = np.asarray(swait_ptr_l, dtype=np.int64)
-    lo.swait_tid = np.asarray(swait_tid_l, dtype=np.int64)
-    lo.swait_ptr_l, lo.swait_tid_l = swait_ptr_l, swait_tid_l
+    lo.mk_dest, lo.mk_oid, lo.mk_need0 = mk_dest, mk_oid, mk_need0
+    lo.mk_oname, lo.mk_uname = mk_oname, mk_uname
+    lo.wait_ptr, lo.wait_tid = wait_ptr, wait_tid
+    lo.grp_of, lo.grp_ptr, lo.grp_mk = grp_of, grp_ptr, grp_mk
+    lo.sk_dest, lo.swait_ptr, lo.swait_tid = sk_dest, swait_ptr, swait_tid
 
     # --- outgoing messages (od / os CSR) + address keys (ak) ----------
     ak_index: dict[tuple, int] = {}
-    od_ptr_l = [0]
-    od_mk_l: list[int] = []
-    od_ak_l: list[int] = []
-    od_dest_l: list[int] = []
-    od_oid_l: list[int] = []
-    od_nbytes_l: list[int] = []
-    od_uname_l: list[str] = []
-    od_oname_l: list[str] = []
-    od_tuple_l: list[tuple] = []
-    os_ptr_l = [0]
-    os_sk_l: list[int] = []
-    cons_ptr_l = [0]
-    cons_mk_l: list[int] = []
+    od_ptr = [0]
+    od_mk: list[int] = []
+    od_ak: list[int] = []
+    od_dest: list[int] = []
+    od_oid: list[int] = []
+    od_nbytes: list[int] = []
+    od_uname: list[str] = []
+    od_oname: list[str] = []
+    os_ptr = [0]
+    os_sk: list[int] = []
+    cons_ptr = [0]
+    cons_mk: list[int] = []
     for tid, name in enumerate(task_name):
         src = proc_of[tid]
         for m, unit, dest, nbytes in cs.out_data.get(name, ()):
@@ -390,45 +357,33 @@ def lower_schedule(cs) -> LoweredSchedule:
             if ak is None:
                 ak = len(ak_index)
                 ak_index[akey] = ak
-            od_mk_l.append(mk_index[(dest, m, unit)])
-            od_ak_l.append(ak)
-            od_dest_l.append(dest)
-            od_oid_l.append(oid_of[m])
-            od_nbytes_l.append(nbytes)
-            od_uname_l.append(unit)
-            od_oname_l.append(m)
-            od_tuple_l.append((m, unit, dest, nbytes))
-        od_ptr_l.append(len(od_mk_l))
+            od_mk.append(mk_index[(dest, m, unit)])
+            od_ak.append(ak)
+            od_dest.append(dest)
+            od_oid.append(oid_of[m])
+            od_nbytes.append(nbytes)
+            od_uname.append(unit)
+            od_oname.append(m)
+        od_ptr.append(len(od_mk))
         for u, dest in cs.out_sync.get(name, ()):
-            os_sk_l.append(sk_index[(u, dest)])
-        os_ptr_l.append(len(os_sk_l))
+            os_sk.append(sk_index[(u, dest)])
+        os_ptr.append(len(os_sk))
         for m, unit in cs.consumes[name]:
-            cons_mk_l.append(mk_index[(proc_of[tid], m, unit)])
-        cons_ptr_l.append(len(cons_mk_l))
+            cons_mk.append(mk_index[(proc_of[tid], m, unit)])
+        cons_ptr.append(len(cons_mk))
     lo.num_ak = len(ak_index)
     lo.ak_index = ak_index
-    lo.od_ptr = np.asarray(od_ptr_l, dtype=np.int64)
-    lo.od_mk = np.asarray(od_mk_l, dtype=np.int64)
-    lo.od_ak = np.asarray(od_ak_l, dtype=np.int64)
-    lo.od_dest = np.asarray(od_dest_l, dtype=np.int64)
-    lo.od_oid = np.asarray(od_oid_l, dtype=np.int64)
-    lo.od_nbytes = np.asarray(od_nbytes_l, dtype=np.int64)
-    lo.od_ptr_l, lo.od_mk_l, lo.od_ak_l = od_ptr_l, od_mk_l, od_ak_l
-    lo.od_dest_l = od_dest_l
-    lo.od_uname_l, lo.od_oname_l = od_uname_l, od_oname_l
-    lo.od_tuple_l = od_tuple_l
-    lo.os_ptr = np.asarray(os_ptr_l, dtype=np.int64)
-    lo.os_sk = np.asarray(os_sk_l, dtype=np.int64)
-    lo.os_ptr_l, lo.os_sk_l = os_ptr_l, os_sk_l
-    lo.cons_ptr = np.asarray(cons_ptr_l, dtype=np.int64)
-    lo.cons_mk = np.asarray(cons_mk_l, dtype=np.int64)
-    lo.cons_ptr_l, lo.cons_mk_l = cons_ptr_l, cons_mk_l
+    lo.od_ptr, lo.od_mk, lo.od_ak = od_ptr, od_mk, od_ak
+    lo.od_dest, lo.od_oid, lo.od_nbytes = od_dest, od_oid, od_nbytes
+    lo.od_uname, lo.od_oname = od_uname, od_oname
+    lo.os_ptr, lo.os_sk = os_ptr, os_sk
+    lo.cons_ptr, lo.cons_mk = cons_ptr, cons_mk
 
     # --- static version timeline (replaces current_version dict) -----
     # writes_by_po[(q, oid)] = ordered (position, unit-name) write list.
     writes_by_po: dict[tuple, list[tuple[int, str]]] = {}
-    od_ok0_l = [False] * len(od_mk_l)
-    od_ow_l = [_NO_OVERWRITE] * len(od_mk_l)
+    od_ok0 = [False] * len(od_mk)
+    od_ow = [_NO_OVERWRITE] * len(od_mk)
     for q in range(nprocs):
         ver: dict[int, str] = {}
         for pos, tid in enumerate(range(proc_start[q], proc_start[q + 1])):
@@ -437,33 +392,26 @@ def lower_schedule(cs) -> LoweredSchedule:
                 oid = oid_of[m]
                 ver[oid] = uu
                 writes_by_po.setdefault((q, oid), []).append((pos, uu))
-            for od in range(od_ptr_l[tid], od_ptr_l[tid + 1]):
-                od_ok0_l[od] = ver.get(od_oid_l[od]) == od_uname_l[od]
+            for od in range(od_ptr[tid], od_ptr[tid + 1]):
+                od_ok0[od] = ver.get(od_oid[od]) == od_uname[od]
         for pos, tid in enumerate(range(proc_start[q], proc_start[q + 1])):
-            for od in range(od_ptr_l[tid], od_ptr_l[tid + 1]):
-                req = od_uname_l[od]
-                for wpos, uu in writes_by_po.get((q, od_oid_l[od]), ()):
+            for od in range(od_ptr[tid], od_ptr[tid + 1]):
+                req = od_uname[od]
+                for wpos, uu in writes_by_po.get((q, od_oid[od]), ()):
                     if wpos > pos and uu != req:
-                        od_ow_l[od] = wpos
+                        od_ow[od] = wpos
                         break
-    lo.od_ok0 = np.asarray(od_ok0_l, dtype=np.bool_)
-    lo.od_ow = np.asarray(od_ow_l, dtype=np.int64)
-    lo.od_ok0_l, lo.od_ow_l = od_ok0_l, od_ow_l
+    lo.od_ok0, lo.od_ow = od_ok0, od_ow
     lo.writes_by_po = writes_by_po
 
-    # --- task-successor CSR (TaskGraph.successor_map) -----------------
-    # Dense successor arrays back the analyzer/debug views and serve as
-    # a lowering cross-check: every cross-processor edge must have been
-    # lowered to a data-message or sync waiter above.
-    succ_ptr_l = [0]
-    succ_tid_l: list[int] = []
-    smap = g.successor_map()
+    # --- lowering cross-check -----------------------------------------
+    # Every cross-processor edge must have been lowered to a data-message
+    # or sync waiter above.
     assignment = sched.assignment
-    for name in task_name:
-        inner = smap.get(name, {})
+    for name, inner in g.successor_map().items():
+        pu = assignment[name]
         for v, objs in inner.items():
-            succ_tid_l.append(tid_of[v])
-            pu, pv = assignment[name], assignment[v]
+            pv = assignment[v]
             if pu == pv:
                 continue
             if objs:
@@ -477,9 +425,6 @@ def lower_schedule(cs) -> LoweredSchedule:
                 raise SimulationError(
                     f"lowering lost sync edge {name}->{v}"
                 )
-        succ_ptr_l.append(len(succ_tid_l))
-    lo.succ_ptr = np.asarray(succ_ptr_l, dtype=np.int64)
-    lo.succ_tid = np.asarray(succ_tid_l, dtype=np.int64)
 
     # --- per-processor memory constants -------------------------------
     lo.span_oids = [
@@ -497,28 +442,28 @@ def lower_schedule(cs) -> LoweredSchedule:
         prog: list[tuple] = []
         starts: list[int] = []
         cur_ws: list[float] = []
-        start = int(proc_start[q])
-        for i in range(int(proc_start[q + 1]) - start):
+        start = proc_start[q]
+        for i in range(proc_start[q + 1] - start):
             tid = start + i
             if (
-                pending0_l[tid] == 0
-                and od_ptr_l[tid] == od_ptr_l[tid + 1]
-                and os_ptr_l[tid] == os_ptr_l[tid + 1]
-                and cons_ptr_l[tid] == cons_ptr_l[tid + 1]
+                pending0[tid] == 0
+                and od_ptr[tid] == od_ptr[tid + 1]
+                and os_ptr[tid] == os_ptr[tid + 1]
+                and cons_ptr[tid] == cons_ptr[tid + 1]
             ):
                 if not cur_ws:
                     starts.append(i)
-                cur_ws.append(weight_l[tid])
+                cur_ws.append(weight[tid])
                 continue
             if cur_ws:
                 prog.append(_make_seg(cur_ws))
                 cur_ws = []
             starts.append(i)
             prog.append((
-                _TASK_OP, tid, weight_l[tid],
-                od_ptr_l[tid], od_ptr_l[tid + 1],
-                os_ptr_l[tid], os_ptr_l[tid + 1],
-                cons_ptr_l[tid], cons_ptr_l[tid + 1],
+                _TASK_OP, tid, weight[tid],
+                od_ptr[tid], od_ptr[tid + 1],
+                os_ptr[tid], os_ptr[tid + 1],
+                cons_ptr[tid], cons_ptr[tid + 1],
             ))
         if cur_ws:
             prog.append(_make_seg(cur_ws))
@@ -611,10 +556,9 @@ def get_exec_plan(
     # Exact interpreted cost expressions, per message (per spec).
     costs = lo.spec_costs.get(spec)
     if costs is None:
-        nbytes = lo.od_nbytes.tolist()
         costs = lo.spec_costs[spec] = (
-            [spec.message_time(nb) for nb in nbytes],
-            [nb * spec.byte_time for nb in nbytes],
+            [spec.message_time(nb) for nb in lo.od_nbytes],
+            [nb * spec.byte_time for nb in lo.od_nbytes],
         )
     ep.od_net_l, ep.od_nic_l = costs
 
@@ -675,7 +619,7 @@ def get_exec_plan(
         if not map_at[q]:
             steps.append(base)
             continue
-        n = int(lo.proc_start[q + 1] - lo.proc_start[q])
+        n = lo.proc_start[q + 1] - lo.proc_start[q]
         prog: list[tuple] = []
         k = 0  # base step holding the next position to emit
         cut = 0  # that position (== starts[k] unless a MAP split step k)
@@ -805,21 +749,21 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
 
     # Static tables as locals (closure lookups beat attribute lookups).
     steps = ep.steps
-    od_mk_l, od_ak_l = lo.od_mk_l, lo.od_ak_l
-    od_ok0_l, od_ow_l = lo.od_ok0_l, lo.od_ow_l
-    os_sk_l, cons_mk_l = lo.os_sk_l, lo.cons_mk_l
-    mk_dest_l, mk_oid_l = lo.mk_dest_l, lo.mk_oid_l
-    mk_oname_l, mk_uname_l = lo.mk_oname_l, lo.mk_uname_l
-    wait_ptr_l, wait_tid_l = lo.wait_ptr_l, lo.wait_tid_l
-    grp_of_l, grp_ptr_l, grp_mk_l = lo.grp_of_l, lo.grp_ptr_l, lo.grp_mk_l
-    sk_dest_l = lo.sk_dest_l
-    swait_ptr_l, swait_tid_l = lo.swait_ptr_l, lo.swait_tid_l
+    od_mk, od_ak = lo.od_mk, lo.od_ak
+    od_ok0, od_ow = lo.od_ok0, lo.od_ow
+    os_sk, cons_mk = lo.os_sk, lo.cons_mk
+    mk_dest, mk_oid = lo.mk_dest, lo.mk_oid
+    mk_oname, mk_uname = lo.mk_oname, lo.mk_uname
+    wait_ptr, wait_tid = lo.wait_ptr, lo.wait_tid
+    grp_of, grp_ptr, grp_mk = lo.grp_of, lo.grp_ptr, lo.grp_mk
+    sk_dest = lo.sk_dest
+    swait_ptr, swait_tid = lo.swait_ptr, lo.swait_tid
     mf_oid_l, mf_grp_l, ma_oid_l = ep.mf_oid_l, ep.mf_grp_l, ep.ma_oid_l
     pkg_src_l, pkg_dst_l = ep.pkg_src_l, ep.pkg_dst_l
     pkg_cost_l = ep.pkg_cost_l
     pkg_ak_ptr_l, pkg_ak_l = ep.pkg_ak_ptr_l, ep.pkg_ak_l
     od_net_l, od_nic_l = ep.od_net_l, ep.od_nic_l
-    osz = lo.obj_size_l
+    osz = lo.obj_size
     obj_name = lo.obj_name
     send_oh, put_lat, ra_cost = ep.send_oh, ep.put_lat, ep.ra_cost
     nic_serialize = ep.nic_serialize
@@ -845,8 +789,8 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
     nic_free = [0.0] * nprocs
     nsteps = [len(s) for s in steps]
 
-    pending = lo.pending0_l.copy()
-    need = lo.mk_need0_l.copy()
+    pending = lo.pending0.copy()
+    need = lo.mk_need0.copy()
     arrived = bytearray(lo.num_mk)
     sync_arr = bytearray(lo.num_sk)
     known = (
@@ -939,14 +883,14 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         return last
 
     def _raise_version(q: int, od: int):
-        ver = _version_name_at(q, int(lo.od_oid[od]))
+        ver = _version_name_at(q, lo.od_oid[od])
         raise DataConsistencyError(
-            f"P{q} sending {lo.od_oname_l[od]!r} version {ver!r} for an "
-            f"edge requiring version {lo.od_uname_l[od]!r}"
+            f"P{q} sending {lo.od_oname[od]!r} version {ver!r} for an "
+            f"edge requiring version {lo.od_uname[od]!r}"
         )
 
     def dispatch(q: int, od: int, t: float) -> None:
-        if not od_ok0_l[od] or nt[q] > od_ow_l[od]:
+        if not od_ok0[od] or nt[q] > od_ow[od]:
             _raise_version(q, od)
         t2 = charge(q, t, send_oh)
         dmsg[q] += 1
@@ -957,7 +901,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             arrive = start + od_net_l[od]
         else:
             arrive = t2 + od_net_l[od]
-        push(arrive, _DATA_BASE | od_mk_l[od])
+        push(arrive, _DATA_BASE | od_mk[od])
 
     def ra(q: int, t: float) -> None:
         if inbox_ct[q]:
@@ -982,7 +926,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             still = []
             ready = []
             for od in suspended[q]:
-                if known[od_ak_l[od]]:
+                if known[od_ak[od]]:
                     ready.append(od)
                 else:
                     still.append(od)
@@ -1022,10 +966,10 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             u -= osz[oid]
             gid = mf_grp_l[i]
             if gid >= 0:
-                j = grp_ptr_l[gid]
-                ghi = grp_ptr_l[gid + 1]
+                j = grp_ptr[gid]
+                ghi = grp_ptr[gid + 1]
                 while j < ghi:
-                    arrived[grp_mk_l[j]] = 0
+                    arrived[grp_mk[j]] = 0
                     j += 1
             i += 1
         i = step[4]
@@ -1065,12 +1009,12 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         i = step[7]
         hi = step[8]
         while i < hi:
-            need[cons_mk_l[i]] -= 1
+            need[cons_mk[i]] -= 1
             i += 1
         i = step[3]
         hi = step[4]
         while i < hi:
-            if known[od_ak_l[i]]:
+            if known[od_ak[i]]:
                 dispatch(q, i, t)
             else:
                 suspended[q].append(i)
@@ -1081,7 +1025,7 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
         while i < hi:
             t2 = charge(q, t, send_oh)
             smsg[q] += 1
-            push(t2 + put_lat, _SYNC_BASE | os_sk_l[i])
+            push(t2 + put_lat, _SYNC_BASE | os_sk[i])
             i += 1
         sp[q] += 1
 
@@ -1217,47 +1161,47 @@ def run_compiled(sim) -> "SimResult":  # noqa: F821 (sphinx-style ref)
             advance(q, a if a >= t else t)
         elif kind == 1:  # DATA_ARRIVE of message key arg
             mk = arg
-            dest = mk_dest_l[mk]
-            if managed_check and not allocated[dest * nobjects + mk_oid_l[mk]]:
+            dest = mk_dest[mk]
+            if managed_check and not allocated[dest * nobjects + mk_oid[mk]]:
                 raise SimulationError(
-                    f"data for {mk_oname_l[mk]!r} arrived at P{dest} with "
+                    f"data for {mk_oname[mk]!r} arrived at P{dest} with "
                     "no allocated space (protocol violation)"
                 )
-            gid = grp_of_l[mk]
-            glo = grp_ptr_l[gid]
-            ghi = grp_ptr_l[gid + 1]
+            gid = grp_of[mk]
+            glo = grp_ptr[gid]
+            ghi = grp_ptr[gid + 1]
             if ghi - glo > 1:
                 i = glo
                 while i < ghi:
-                    mk2 = grp_mk_l[i]
+                    mk2 = grp_mk[i]
                     if mk2 != mk and arrived[mk2]:
                         if need[mk2] > 0:
                             raise DataConsistencyError(
-                                f"P{dest} received {mk_oname_l[mk]!r}/"
-                                f"{mk_uname_l[mk]!r} while version "
-                                f"{mk_uname_l[mk2]!r} is still needed"
+                                f"P{dest} received {mk_oname[mk]!r}/"
+                                f"{mk_uname[mk]!r} while version "
+                                f"{mk_uname[mk2]!r} is still needed"
                             )
                         arrived[mk2] = 0
                     i += 1
             if not arrived[mk]:
                 arrived[mk] = 1
-                i = wait_ptr_l[mk]
-                hi = wait_ptr_l[mk + 1]
+                i = wait_ptr[mk]
+                hi = wait_ptr[mk + 1]
                 while i < hi:
-                    pending[wait_tid_l[i]] -= 1
+                    pending[wait_tid[i]] -= 1
                     i += 1
             st = state[dest]
             if st == _REC or st == _MAP or st == _END:
                 advance(dest, t)
         elif kind == 2:  # SYNC_ARRIVE of sync key arg
             sk = arg
-            dest = sk_dest_l[sk]
+            dest = sk_dest[sk]
             if not sync_arr[sk]:
                 sync_arr[sk] = 1
-                i = swait_ptr_l[sk]
-                hi = swait_ptr_l[sk + 1]
+                i = swait_ptr[sk]
+                hi = swait_ptr[sk + 1]
                 while i < hi:
-                    pending[swait_tid_l[i]] -= 1
+                    pending[swait_tid[i]] -= 1
                     i += 1
             st = state[dest]
             if st == _REC or st == _MAP or st == _END:
@@ -1370,7 +1314,11 @@ def _raise_deadlock(
                     waits.add(assignment[req[1]])
             details[q] = f"next={task} missing={missing}"
         else:
-            susp = [lo.od_tuple_l[od] for od in suspended[q]]
+            susp = [
+                (lo.od_oname[od], lo.od_uname[od], lo.od_dest[od],
+                 lo.od_nbytes[od])
+                for od in suspended[q]
+            ]
             pkgs = [
                 (ep.pkg_dst_l[k], list(ep.pkg_objs[k]))
                 for k in pending_pkgs[q]
@@ -1380,8 +1328,8 @@ def _raise_deadlock(
             if slot[q * nprocs + ep.pkg_dst_l[k]]:
                 waits.add(ep.pkg_dst_l[k])
         for od in suspended[q]:
-            if not known[lo.od_ak_l[od]]:
-                waits.add(lo.od_dest_l[od])
+            if not known[lo.od_ak[od]]:
+                waits.add(lo.od_dest[od])
         waits.discard(q)
     err.details = details
     err.wait_for = wait_for

@@ -89,8 +89,7 @@ runs through the array-compiled engine; runs with ``metrics=True``,
 ``trace=True``, an attached instrument, active fault injection, a
 caller-supplied ``plan`` object, or negative spec costs fall back to
 this interpreted engine *explicitly* (``SimResult.engine`` records
-which engine produced the result).  ``engine="auto"`` is the same
-policy spelled as a preference rather than a request.
+which engine produced the result).
 
 Telemetry
 ---------
@@ -142,7 +141,6 @@ __all__ = [
     "SimResult",
     "Simulator",
     "TraceEvent",
-    "compile_schedule",
     "simulate",
 ]
 
@@ -541,15 +539,6 @@ class CompiledSchedule:
         return plan
 
 
-def compile_schedule(
-    schedule: Schedule,
-    profile: Optional[MemoryProfile] = None,
-    validate: bool = True,
-) -> CompiledSchedule:
-    """Convenience wrapper around :class:`CompiledSchedule`."""
-    return CompiledSchedule(schedule, profile=profile, validate=validate)
-
-
 class Simulator:
     """Execute one schedule on the simulated machine.
 
@@ -620,16 +609,16 @@ class Simulator:
         ``is None`` test per injection site.
 
         ``engine`` selects the execution engine: ``"interpreted"`` (the
-        reference oracle, default), ``"compiled"`` (the array-compiled
-        engine of :mod:`repro.machine.compiled`) or ``"auto"``
-        (compiled when eligible).  Observed, fault-injected or
-        caller-supplied-plan runs are not supported by the compiled
-        engine and fall back to the interpreted one explicitly;
-        ``SimResult.engine`` records which engine actually ran."""
-        if engine not in ("interpreted", "compiled", "auto"):
+        reference oracle, default) or ``"compiled"`` (the array-compiled
+        engine of :mod:`repro.machine.compiled`).  Observed,
+        fault-injected or caller-supplied-plan runs are not supported by
+        the compiled engine and fall back to the interpreted one
+        explicitly; ``SimResult.engine`` records which engine actually
+        ran."""
+        if engine not in ("interpreted", "compiled"):
             raise SimulationError(
-                f"unknown engine {engine!r}; expected 'interpreted', "
-                "'compiled' or 'auto'"
+                f"unknown engine {engine!r}; expected 'interpreted' or "
+                "'compiled'"
             )
         self.engine = engine
         if compiled is None:
@@ -719,13 +708,9 @@ class Simulator:
             return "negative-cost"
         return None
 
-    def _compiled_engine_eligible(self) -> bool:
-        """True when this run can use the array-compiled engine."""
-        return self._compiled_fallback_reason() is None
-
     def run(self) -> SimResult:
         counters = self.compiled.counters
-        if self.engine != "interpreted":
+        if self.engine == "compiled":
             reason = self._compiled_fallback_reason()
             if reason is None:
                 from .compiled import run_compiled

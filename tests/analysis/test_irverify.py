@@ -7,6 +7,7 @@ own `CompiledSchedule` so mutating the memoised lowering/exec plan
 cannot leak into shared caches.
 """
 
+import numpy as np
 import pytest
 
 from repro.analysis import (
@@ -15,10 +16,13 @@ from repro.analysis import (
     verify_lowering,
     verify_report,
 )
+from repro.core import Schedule, owner_compute_assignment
+from repro.core.placement import placement_from_dict
 from repro.errors import SimulationError
 from repro.experiments import ExperimentContext
+from repro.graph import Task, TaskGraph
 from repro.graph.paper_example import schedule_c
-from repro.machine.compiled import get_exec_plan, lower_schedule
+from repro.machine.compiled import LoweredSchedule, get_exec_plan, lower_schedule
 from repro.machine.simulator import CompiledSchedule
 from repro.machine.spec import UNIT_MACHINE
 
@@ -35,6 +39,35 @@ def fresh_paper():
 
 def error_codes(diags):
     return {d.rule for d in diags}
+
+
+def fresh_sync_edge():
+    """P1 reads ``a`` from P0, and P0 rewrites ``a`` only after that
+    read (an objectless cross-processor sync edge), so every index table
+    the run loop executes is non-empty — unlike the shipped workloads,
+    which lower no sync keys at P4."""
+    g = TaskGraph()
+    g.add_object("a", 2)
+    g.add_object("b", 2)
+    g.add_task(Task("wa", writes=("a",)))
+    g.add_task(Task("rb", reads=("a",), writes=("b",)))
+    g.add_task(Task("wa2", writes=("a",)))
+    g.add_edge("wa", "rb", "a")
+    g.add_edge("rb", "wa2")
+    g.freeze()
+    pl = placement_from_dict(2, {"a": 0, "b": 1})
+    asg = owner_compute_assignment(g, pl)
+    return CompiledSchedule(Schedule(g, pl, asg, [["wa", "wa2"], ["rb"]]))
+
+
+#: Every index table the compiled run loop reads, with the attribute
+#: holding the size of the id space its entries index.
+EXECUTED_INDEX_TABLES = [
+    ("od_mk", "num_mk"), ("od_ak", "num_ak"), ("od_dest", "num_procs"),
+    ("od_oid", "num_objects"), ("os_sk", "num_sk"), ("cons_mk", "num_mk"),
+    ("wait_tid", "num_tasks"), ("swait_tid", "num_tasks"),
+    ("grp_mk", "num_mk"),
+]
 
 
 class TestCleanVerdicts:
@@ -84,6 +117,28 @@ class TestMutationsAreRejected:
         diags = verify_lowering(cs)
         assert error_codes(diags) == {"SA501"}
 
+    @pytest.mark.parametrize("table, space", EXECUTED_INDEX_TABLES)
+    def test_sa501_out_of_space_entry_in_each_executed_table(
+        self, table, space
+    ):
+        cs = fresh_sync_edge()
+        lo = lower_schedule(cs)
+        assert verify_lowering(cs) == []
+        rows = getattr(lo, table)
+        assert rows, f"{table} is empty on the sync-edge graph"
+        rows[0] = getattr(lo, space) + 99
+        assert error_codes(verify_lowering(cs)) == {"SA501"}
+
+    def test_lowering_holds_each_table_once(self):
+        # The verifier checks the stem-named tables, so they must be the
+        # very lists the run loop indexes: no numpy copy, no list mirror.
+        lo = lower_schedule(fresh_sync_edge())
+        assert not [n for n in LoweredSchedule.__slots__ if n.endswith("_l")]
+        assert not [
+            n for n in LoweredSchedule.__slots__
+            if isinstance(getattr(lo, n), np.ndarray)
+        ]
+
     def test_sa501_gates_the_deeper_passes(self):
         # A structurally corrupt CSR must not be chased by the
         # bijection/version walks — only SA501 is reported.
@@ -104,9 +159,9 @@ class TestMutationsAreRejected:
     def test_sa503_version_flag_drift(self):
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        if not lo.od_ok0_l:
+        if not lo.od_ok0:
             pytest.skip("no outgoing data on this lowering")
-        lo.od_ok0_l[0] = not bool(lo.od_ok0_l[0])
+        lo.od_ok0[0] = not bool(lo.od_ok0[0])
         diags = verify_lowering(cs)
         assert "SA503" in error_codes(diags)
 
@@ -123,7 +178,7 @@ class TestMutationsAreRejected:
     def test_sa505_negative_weight(self):
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        lo.weight_l[0] = -1.0
+        lo.weight[0] = -1.0
         diags = verify_lowering(cs)
         assert "SA505" in error_codes(diags)
 
@@ -131,8 +186,8 @@ class TestMutationsAreRejected:
         # Even wildly corrupt arrays come back as diagnostics.
         cs = fresh_paper()
         lo = lower_schedule(cs)
-        lo.od_ptr[:] = -7
-        lo.wait_ptr[:] = 10**6
+        lo.od_ptr[:] = [-7] * len(lo.od_ptr)
+        lo.wait_ptr[:] = [10**6] * len(lo.wait_ptr)
         diags = verify_exec_plan(cs, 8, UNIT_MACHINE)
         assert diags
         assert all(d.rule.startswith("SA5") for d in diags)

@@ -280,6 +280,10 @@ class TestFallbacks:
         with pytest.raises(SimulationError):
             Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs, engine="jit")
 
+    def test_auto_engine_rejected(self, cs):
+        with pytest.raises(SimulationError, match="'interpreted' or 'compiled'"):
+            Simulator(spec=UNIT_MACHINE, capacity=9, compiled=cs, engine="auto")
+
 
 class TestCacheStaleness:
     """Satellite regressions: memoised plans must never survive a

@@ -47,8 +47,8 @@ def reference_exec_plan(cs, capacity, spec, memory_managed, preknown):
         known_all=not memory_managed or preknown,
         send_oh=spec.send_overhead, put_lat=spec.put_latency,
         ra_cost=spec.ra_cost, nic_serialize=spec.nic_serialize,
-        od_net_l=[spec.message_time(nb) for nb in lo.od_nbytes.tolist()],
-        od_nic_l=[nb * spec.byte_time for nb in lo.od_nbytes.tolist()],
+        od_net_l=[spec.message_time(nb) for nb in lo.od_nbytes],
+        od_nic_l=[nb * spec.byte_time for nb in lo.od_nbytes],
         mf_oid_l=[], mf_grp_l=[], ma_oid_l=[], pkg_src_l=[], pkg_dst_l=[],
         pkg_cost_l=[], pkg_objs=[], pkg_ak_ptr_l=[0], pkg_ak_l=[], steps=[],
     )
@@ -57,7 +57,7 @@ def reference_exec_plan(cs, capacity, spec, memory_managed, preknown):
         for pts in plan.points:
             for mp in pts:
                 map_at[mp.proc][mp.position] = mp
-    od_ptr, os_ptr, cons_ptr = lo.od_ptr_l, lo.os_ptr_l, lo.cons_ptr_l
+    od_ptr, os_ptr, cons_ptr = lo.od_ptr, lo.os_ptr, lo.cons_ptr
     for q in range(lo.num_procs):
         prog, cur_ws = [], []
         start = int(lo.proc_start[q])
@@ -90,15 +90,15 @@ def reference_exec_plan(cs, capacity, spec, memory_managed, preknown):
                 prog.append((_MAP_OP, cost, flo, len(t["mf_oid_l"]), alo,
                              len(t["ma_oid_l"]), plo, len(t["pkg_dst_l"])))
             tid = start + i
-            if (lo.pending0_l[tid] == 0 and od_ptr[tid] == od_ptr[tid + 1]
+            if (lo.pending0[tid] == 0 and od_ptr[tid] == od_ptr[tid + 1]
                     and os_ptr[tid] == os_ptr[tid + 1]
                     and cons_ptr[tid] == cons_ptr[tid + 1]):
-                cur_ws.append(lo.weight_l[tid])
+                cur_ws.append(lo.weight[tid])
             else:
                 if cur_ws:
                     prog.append(_make_seg(cur_ws))
                     cur_ws = []
-                prog.append((_TASK_OP, tid, lo.weight_l[tid],
+                prog.append((_TASK_OP, tid, lo.weight[tid],
                              od_ptr[tid], od_ptr[tid + 1],
                              os_ptr[tid], os_ptr[tid + 1],
                              cons_ptr[tid], cons_ptr[tid + 1]))

@@ -105,6 +105,36 @@ class TestHostileSizesAndCapacities:
         assert Simulator(compiled=cs, spec=UNIT_MACHINE, capacity=8.0).run()
 
 
+class TestHostileTaskWeights:
+    """Task weights must be finite non-negative reals; each refusal is a
+    typed error that is also a ValueError."""
+
+    def test_bad_weights_are_typed(self):
+        import numpy as np
+        import pytest
+
+        from repro.graph import Task
+
+        for w in (float("nan"), float("inf"), float("-inf"), -1.0, -1,
+                  True, np.bool_(False), "1", None):
+            with pytest.raises(errors.TaskWeightError) as info:
+                Task("t", weight=w)
+            assert isinstance(info.value, errors.GraphError)
+            assert isinstance(info.value, ValueError)
+        for w in (0, 0.0, 2, 2.5, np.float64(1.5), np.int64(3)):
+            assert Task("t", weight=w).weight == w
+
+    def test_builder_rejects_bad_weights(self):
+        import pytest
+
+        from repro.graph import GraphBuilder
+
+        b = GraphBuilder()
+        b.add_object("a", 1)
+        with pytest.raises(errors.TaskWeightError):
+            b.add_task("t", writes=("a",), weight=float("nan"))
+
+
 class TestExperimentConfig:
     """Bad processor counts, TOT references and column families are
     rejected up front with a typed error that is also a ValueError."""
